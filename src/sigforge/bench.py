@@ -14,13 +14,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .cryptosystem import dsa_subgroup_bits, sign_message, verify_message
-from .curves import order_bits
-from .ec_signatures import ec_keygen
-from .ff_signatures import dsa_keygen, dsa_paramgen, rsa_keygen
-from .hashing import select_hash_for_modulus, select_hash_for_order
 from .numeric import RngHandle
-from .registry import get_curve
+from .schemes import get_scheme
 
 BENCH_MESSAGE = bytes(range(256)) * 4  # fixed 1 KiB message
 
@@ -87,40 +82,18 @@ def _timed(fn, repeats):
 
 
 def bench_one(config: BenchConfig, repeats: int, rng: RngHandle) -> BenchRecord:
-    algorithm = config.algorithm
-    if algorithm in ("ecdsa", "eddsa"):
-        spec = get_curve(config.curve)
-        keygen = lambda: ec_keygen(spec, rng)
-        form, curve_name = spec.form, spec.name
-        key_size = order_bits(spec)
-        hash_name = select_hash_for_order(key_size)
-    elif algorithm == "rsa":
-        keygen = lambda: rsa_keygen(config.bits, rng)
-        form = curve_name = "-"
-        key_size = config.bits
-        hash_name = select_hash_for_modulus(key_size)
-    elif algorithm == "dsa":
-        subgroup = dsa_subgroup_bits(config.bits)
-        keygen = lambda: dsa_keygen(dsa_paramgen(config.bits, subgroup, rng), rng)
-        form = curve_name = "-"
-        key_size = config.bits
-        hash_name = select_hash_for_modulus(key_size)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-
-    keygen_s, key = _timed(keygen, repeats)
-    sign_s, signature = _timed(lambda: sign_message(algorithm, key, BENCH_MESSAGE, rng), repeats)
-    verify_s, ok = _timed(
-        lambda: verify_message(algorithm, key, BENCH_MESSAGE, signature), repeats
-    )
+    scheme = get_scheme(config.algorithm)
+    keygen_s, key = _timed(lambda: scheme.keygen(rng, config.bits, config.curve), repeats)
+    sign_s, signature = _timed(lambda: scheme.sign(key, BENCH_MESSAGE, rng), repeats)
+    verify_s, ok = _timed(lambda: scheme.verify(key, BENCH_MESSAGE, signature), repeats)
     if not ok:
         raise AssertionError(f"benchmark produced an invalid signature for {config}")
     return BenchRecord(
-        algorithm=algorithm,
-        form=form,
-        curve=curve_name,
-        key_size=key_size,
-        hash_name=hash_name,
+        algorithm=config.algorithm,
+        form=key.curve.form if scheme.on_curve else "-",
+        curve=key.curve.name if scheme.on_curve else "-",
+        key_size=scheme.key_size(key),
+        hash_name=scheme.hash_name(key),
         keygen_s=keygen_s,
         sign_s=sign_s,
         verify_s=verify_s,

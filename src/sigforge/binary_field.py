@@ -125,36 +125,3 @@ class BinaryField:
             u ^= v << j
             g1 ^= g2 << j
         return _poly_mod(g1, self.poly)
-
-    def element(self, value: int) -> "BfElement":
-        self._check(value)
-        return BfElement(self, value)
-
-
-@dataclass(frozen=True)
-class BfElement:
-    """A field element bound to its field; operators check field compatibility."""
-
-    field: BinaryField
-    value: int
-
-    def _same_field(self, other):
-        if not isinstance(other, BfElement) or other.field != self.field:
-            raise ValueError("operands belong to different binary fields")
-
-    def __add__(self, other):
-        self._same_field(other)
-        return BfElement(self.field, self.field.add(self.value, other.value))
-
-    def __mul__(self, other):
-        self._same_field(other)
-        return BfElement(self.field, self.field.mul(self.value, other.value))
-
-    def square(self):
-        return BfElement(self.field, self.field.square(self.value))
-
-    def inverse(self):
-        return BfElement(self.field, self.field.inv(self.value))
-
-    def __int__(self):
-        return self.value

@@ -9,10 +9,11 @@ import sys
 
 from . import keystore
 from .bench import SUITES, emit_csv, run_bench
-from .cryptosystem import ALGORITHMS, Cryptosystem, sign_message, verify_message
+from .cryptosystem import Cryptosystem, sign_message, verify_message
 from .curves import FORMS
 from .errors import KeyFileError, MissingPrivateKeyError, UnknownCurveError
 from .numeric import RngHandle
+from .schemes import SCHEMES
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -25,7 +26,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     keygen = sub.add_parser("keygen", help="generate a key pair and write both halves")
-    keygen.add_argument("--algorithm", required=True, choices=ALGORITHMS)
+    keygen.add_argument("--algorithm", required=True, choices=SCHEMES)
     keygen.add_argument("--bits", type=int, help="modulus size for rsa/dsa")
     keygen.add_argument("--form", choices=FORMS, help="curve form (elliptic only)")
     keygen.add_argument("--curve", help="curve name (elliptic only)")

@@ -11,67 +11,21 @@
 """
 
 from . import keystore
-from .ec_signatures import ec_keygen, ecdsa_sign, ecdsa_verify, eddsa_sign, eddsa_verify
-from .ff_signatures import (
-    dsa_keygen,
-    dsa_paramgen,
-    dsa_sign,
-    dsa_verify,
-    rsa_keygen,
-    rsa_sign,
-    rsa_verify,
-)
-from .hashing import digest_bits, select_hash_for_modulus
 from .numeric import RngHandle
-from .registry import get_curve
-
-ALGORITHMS = ("rsa", "dsa", "ecdsa", "eddsa")
-
-DEFAULT_BITS = 2048
-DEFAULT_CURVES = {"ecdsa": "secp256k1", "eddsa": "ed25519"}
-
-
-def dsa_subgroup_bits(modulus_bits: int) -> int:
-    """Subgroup size paired with a DSA modulus: the width of its selected hash."""
-    return digest_bits(select_hash_for_modulus(modulus_bits))
+from .schemes import SCHEMES, get_scheme
 
 
 def generate_key(algorithm: str, rng: RngHandle, bits=None, curve=None):
     """Fresh key material for any supported algorithm."""
-    if algorithm in ("ecdsa", "eddsa"):
-        spec = get_curve(curve or DEFAULT_CURVES[algorithm])
-        return ec_keygen(spec, rng)
-    size = bits or DEFAULT_BITS
-    if algorithm == "rsa":
-        return rsa_keygen(size, rng)
-    if algorithm == "dsa":
-        params = dsa_paramgen(size, dsa_subgroup_bits(size), rng)
-        return dsa_keygen(params, rng)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    return get_scheme(algorithm).keygen(rng, bits, curve)
 
 
 def sign_message(algorithm: str, key, message: bytes, rng: RngHandle):
-    if algorithm == "rsa":
-        return rsa_sign(key, message)
-    if algorithm == "dsa":
-        return dsa_sign(key, message, rng)
-    if algorithm == "ecdsa":
-        return ecdsa_sign(key, message, rng)
-    if algorithm == "eddsa":
-        return eddsa_sign(key, message)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    return get_scheme(algorithm).sign(key, message, rng)
 
 
 def verify_message(algorithm: str, key, message: bytes, signature) -> bool:
-    if algorithm == "rsa":
-        return rsa_verify(key, message, signature)
-    if algorithm == "dsa":
-        return dsa_verify(key, message, signature)
-    if algorithm == "ecdsa":
-        return ecdsa_verify(key, message, signature)
-    if algorithm == "eddsa":
-        return eddsa_verify(key, message, signature)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    return get_scheme(algorithm).verify(key, message, signature)
 
 
 class Cryptosystem:
@@ -84,8 +38,8 @@ class Cryptosystem:
 
     def __init__(self, algorithm, *, form=None, curve=None, bits=None, key_file=None, seed=None):
         algorithm = algorithm.lower()
-        if algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+        if algorithm not in SCHEMES:
+            raise ValueError(f"unknown algorithm {algorithm!r}; choose from {tuple(SCHEMES)}")
         self.algorithm = algorithm
         self.rng = RngHandle(seed)
         if key_file is not None:
@@ -97,7 +51,7 @@ class Cryptosystem:
             self.key = key
         else:
             self.key = generate_key(algorithm, self.rng, bits=bits, curve=curve)
-        if algorithm in ("ecdsa", "eddsa"):
+        if SCHEMES[algorithm].on_curve:
             if curve is not None and self.key.curve.name != curve.lower():
                 raise ValueError(
                     f"key uses curve {self.key.curve.name!r}, not {curve!r}"

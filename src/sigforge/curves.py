@@ -18,7 +18,6 @@ from typing import NamedTuple, Optional, Union
 
 from . import numeric
 from .binary_field import BinaryField, is_irreducible
-from .errors import NotInvertibleError
 
 WEIERSTRASS = "weierstrass"
 KOBLITZ = "koblitz"
@@ -102,14 +101,6 @@ def _require_on_curve(point, curve):
         raise ValueError(f"point {point} is not on curve {curve.name}")
 
 
-def _field_inv(x, p):
-    # group-law hot path: builtin modular inverse (extended Euclid in C)
-    try:
-        return pow(x, -1, p)
-    except ValueError as exc:
-        raise NotInvertibleError(f"{x} is not invertible modulo {p}") from exc
-
-
 def _add_weierstrass(p1, p2, curve):
     if p1 is None:
         return p2
@@ -119,9 +110,9 @@ def _add_weierstrass(p1, p2, curve):
     if p1.x == p2.x:
         if (p1.y + p2.y) % p == 0:
             return None
-        lam = (3 * p1.x * p1.x + curve.a) * _field_inv(2 * p1.y % p, p) % p
+        lam = (3 * p1.x * p1.x + curve.a) * numeric.mod_inv(2 * p1.y % p, p) % p
     else:
-        lam = (p2.y - p1.y) * _field_inv((p2.x - p1.x) % p, p) % p
+        lam = (p2.y - p1.y) * numeric.mod_inv((p2.x - p1.x) % p, p) % p
     x3 = (lam * lam - p1.x - p2.x) % p
     y3 = (lam * (p1.x - x3) - p1.y) % p
     return Point(x3, y3)
@@ -160,8 +151,8 @@ def _add_edwards(p1, p2, curve):
             f"edwards addition denominator vanished on {curve.name}: "
             "curve parameters do not give a complete addition law"
         )
-    x3 = (x1 * y2 + y1 * x2) * _field_inv(den1, p) % p
-    y3 = (y1 * y2 - curve.a * x1 * x2) * _field_inv(den2, p) % p
+    x3 = (x1 * y2 + y1 * x2) * numeric.mod_inv(den1, p) % p
+    y3 = (y1 * y2 - curve.a * x1 * x2) * numeric.mod_inv(den2, p) % p
     return Point(x3, y3)
 
 
@@ -201,11 +192,6 @@ def scalar_mul(k: int, point: PointLike, curve: CurveSpec) -> PointLike:
         if (k >> i) & 1:
             acc = add(acc, point, curve)
     return acc
-
-
-def coord_as_int(element: int, curve: CurveSpec) -> int:
-    """Canonical integer for a field element (bit pattern for binary fields)."""
-    return element
 
 
 def order_bits(curve: CurveSpec) -> int:

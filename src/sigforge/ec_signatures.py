@@ -17,7 +17,6 @@ from .curves import (
     CurveSpec,
     KOBLITZ,
     Point,
-    coord_as_int,
     is_neutral,
     is_on_curve,
     order_bits,
@@ -67,7 +66,7 @@ def ecdsa_sign_digest(key: EcKey, hm: int, k_r: int) -> Optional[EcdsaSignature]
     big_r = scalar_mul(k_r, curve.g, curve)
     if is_neutral(big_r, curve):
         return None
-    r = coord_as_int(big_r.x, curve) % curve.n
+    r = big_r.x % curve.n
     if r == 0:
         return None
     s = (hm + r * key.ka) * mod_inv(k_r, curve.n) % curve.n
@@ -101,7 +100,7 @@ def ecdsa_verify_digest(key: EcKey, hm: int, sig: EcdsaSignature) -> bool:
     total = point_add(u1, u2, curve)
     if is_neutral(total, curve):
         return False
-    return coord_as_int(total.x, curve) % curve.n == r
+    return total.x % curve.n == r
 
 
 def ecdsa_verify(key: EcKey, message: bytes, sig: EcdsaSignature) -> bool:
@@ -119,15 +118,15 @@ def eddsa_nonce(curve: CurveSpec, message: bytes, alg: str) -> int:
     return r if r != 0 else 1
 
 
+def eddsa_challenge_modulus(curve: CurveSpec) -> int:
+    """The field prime, or n on binary-field curves, which have no prime modulus."""
+    return curve.n if curve.form == KOBLITZ else curve.field
+
+
 def eddsa_challenge(curve: CurveSpec, big_r: Point, public: Point, message: bytes, alg: str) -> int:
-    """Challenge h = R_x + Q_x + hashed message, reduced by the field prime
-    (by n on binary-field curves, which have no prime modulus)."""
-    modulus = curve.n if curve.form == KOBLITZ else curve.field
-    return (
-        coord_as_int(big_r.x, curve)
-        + coord_as_int(public.x, curve)
-        + digest_to_int(message, alg, modulus)
-    ) % modulus
+    """Challenge h = R_x + Q_x + hashed message, reduced by the challenge modulus."""
+    modulus = eddsa_challenge_modulus(curve)
+    return (big_r.x + public.x + digest_to_int(message, alg, modulus)) % modulus
 
 
 def eddsa_sign(key: EcKey, message: bytes) -> EddsaSignature:
@@ -144,7 +143,11 @@ def eddsa_sign(key: EcKey, message: bytes) -> EddsaSignature:
 def eddsa_verify(key: EcKey, message: bytes, sig: EddsaSignature) -> bool:
     curve = key.curve
     big_r, s = sig
-    if s < 0 or not isinstance(big_r, tuple) or len(big_r) != 2:
+    # an honest s = r + h*ka is at most modulus*(n-1); the bound keeps the work
+    # of scalar_mul(s, G) independent of the size of a forged s
+    if not 0 <= s < curve.n * eddsa_challenge_modulus(curve):
+        return False
+    if not isinstance(big_r, tuple) or len(big_r) != 2:
         return False
     big_r = Point(*big_r)
     if not is_on_curve(big_r, curve):

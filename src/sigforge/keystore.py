@@ -14,17 +14,11 @@ silently different one.
 
 import re
 
-from .curves import is_neutral, is_on_curve, Point, scalar_mul
-from .ec_signatures import EcdsaSignature, EcKey, EddsaSignature
-from .errors import KeyFileError, MissingPrivateKeyError, UnknownCurveError
-from .ff_signatures import DsaKey, DsaParams, DsaSignature, RsaKey
-from .numeric import mod_exp
-from .registry import get_curve
+from .errors import KeyFileError, MissingPrivateKeyError
+from .schemes import SCHEMES, get_scheme
 
 KEY_HEADER = "sigforge-key v1"
 SIG_HEADER = "sigforge-sig v1"
-
-ALGORITHMS = ("rsa", "dsa", "ecdsa", "eddsa")
 
 _DECIMAL = re.compile(r"^(0|[1-9][0-9]*)$")
 
@@ -50,6 +44,20 @@ def _parse_lines(text, header):
     return fields
 
 
+def _read_text(path):
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise KeyFileError(f"not valid UTF-8: {exc}") from exc
+
+
+def _write_text(path, text):
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+
+
 class _FieldReader:
     def __init__(self, fields):
         self.fields = fields
@@ -68,7 +76,18 @@ class _FieldReader:
             raise KeyFileError(
                 f"line {lineno}: field {name!r} is not a canonical decimal integer"
             )
-        return int(value)
+        try:
+            return int(value)
+        except ValueError as exc:  # beyond the interpreter's int-from-string digit limit
+            raise KeyFileError(
+                f"line {lineno}: field {name!r} is too long ({len(value)} digits)"
+            ) from exc
+
+    def take_scheme(self):
+        algorithm = self.take_str("algorithm")
+        if algorithm not in SCHEMES:
+            raise KeyFileError(f"unknown algorithm {algorithm!r}")
+        return algorithm, SCHEMES[algorithm]
 
     def finish(self):
         if self.fields:
@@ -81,185 +100,64 @@ class _FieldReader:
 
 
 def render_key(algorithm: str, key, public_only: bool = False) -> str:
-    """Serialize a key; ``public_only`` strips private fields."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    """Serialize a key; ``public_only`` strips the private field."""
+    scheme = get_scheme(algorithm)
     if not public_only and not key.has_private:
         raise MissingPrivateKeyError("cannot export private material from a public-only key")
-    kind = "public" if public_only else "private"
     pairs = [("algorithm", algorithm)]
-    if algorithm == "rsa":
-        pairs += [("type", kind), ("n", key.n), ("e", key.e)]
-        if not public_only:
-            pairs.append(("d", key.d))
-    elif algorithm == "dsa":
-        params = key.params
-        pairs += [("type", kind), ("p", params.p), ("q", params.q), ("g", params.g), ("y", key.y)]
-        if not public_only:
-            pairs.append(("x", key.x))
-    else:
-        curve = key.curve
-        pairs += [
-            ("form", curve.form),
-            ("curve", curve.name),
-            ("type", kind),
-            ("qx", key.q.x),
-            ("qy", key.q.y),
-        ]
-        if not public_only:
-            pairs.append(("ka", key.ka))
-    return _render(KEY_HEADER, [(n, str(v)) for n, v in pairs])
-
-
-def _parse_rsa_key(reader, kind):
-    n = reader.take_int("n")
-    e = reader.take_int("e")
-    d = reader.take_int("d") if kind == "private" else None
-    reader.finish()
-    if n < 3 or n % 2 == 0:
-        raise KeyFileError("field 'n' is not a valid RSA modulus")
-    if not (2 < e < n) or e % 2 == 0:
-        raise KeyFileError("field 'e' is out of range")
-    if d is not None:
-        if not 0 < d < n:
-            raise KeyFileError("field 'd' is out of range")
-        # private material must invert the public exponent
-        for probe in (2, 3):
-            if mod_exp(mod_exp(probe, d, n), e, n) != probe % n:
-                raise KeyFileError("fields 'n', 'e', 'd' are not a consistent RSA key")
-    return RsaKey(n=n, e=e, d=d, modulus_bits=n.bit_length())
-
-
-def _parse_dsa_key(reader, kind):
-    p = reader.take_int("p")
-    q = reader.take_int("q")
-    g = reader.take_int("g")
-    y = reader.take_int("y")
-    x = reader.take_int("x") if kind == "private" else None
-    reader.finish()
-    if not 2 < q < p:
-        raise KeyFileError("fields 'p', 'q' are out of range")
-    if (p - 1) % q != 0:
-        raise KeyFileError("field 'q' does not divide p - 1")
-    if not 2 <= g < p - 1 or mod_exp(g, q, p) != 1:
-        raise KeyFileError("field 'g' is not a generator of the order-q subgroup")
-    if not 0 < y < p or mod_exp(y, q, p) != 1:
-        raise KeyFileError("field 'y' is not in the order-q subgroup")
-    if x is not None:
-        if not 0 < x < q:
-            raise KeyFileError("field 'x' is out of range")
-        if mod_exp(g, x, p) != y:
-            raise KeyFileError("fields 'x', 'y' are not a consistent DSA key")
-    return DsaKey(params=DsaParams(p=p, q=q, g=g), y=y, x=x)
-
-
-def _parse_ec_key(reader, kind):
-    form = reader.take_str("form")
-    name = reader.take_str("curve")
-    qx = reader.take_int("qx")
-    qy = reader.take_int("qy")
-    ka = reader.take_int("ka") if kind == "private" else None
-    reader.finish()
-    try:
-        curve = get_curve(name)
-    except UnknownCurveError as exc:
-        raise KeyFileError(f"field 'curve': {exc}") from exc
-    if form != curve.form:
-        raise KeyFileError(f"field 'form': curve {curve.name!r} has form {curve.form!r}")
-    public = Point(qx, qy)
-    if not is_on_curve(public, curve):
-        raise KeyFileError("fields 'qx', 'qy' are not a point on the curve")
-    if is_neutral(public, curve):
-        raise KeyFileError("public point is the neutral element")
-    if ka is not None:
-        if not 0 < ka < curve.n:
-            raise KeyFileError("field 'ka' is out of range")
-        if scalar_mul(ka, curve.g, curve) != public:
-            raise KeyFileError("fields 'ka', 'qx', 'qy' are not a consistent key pair")
-    return EcKey(curve=curve, q=public, ka=ka)
+    if scheme.on_curve:
+        pairs += [("form", key.curve.form), ("curve", key.curve.name)]
+    pairs.append(("type", "public" if public_only else "private"))
+    count = len(scheme.key_fields) - public_only
+    pairs += zip(scheme.key_fields[:count], scheme.key_ints(key)[:count])
+    return _render(KEY_HEADER, pairs)
 
 
 def parse_key(text: str):
     """Inverse of render_key; returns (algorithm, key).  Raises KeyFileError
     naming the offending line or field on any malformed or inconsistent input."""
     reader = _FieldReader(_parse_lines(text, KEY_HEADER))
-    algorithm = reader.take_str("algorithm")
-    if algorithm not in ALGORITHMS:
-        raise KeyFileError(f"unknown algorithm {algorithm!r}")
+    algorithm, scheme = reader.take_scheme()
     kind = reader.take_str("type")
     if kind not in ("public", "private"):
         raise KeyFileError(f"field 'type' must be 'public' or 'private', got {kind!r}")
-    if algorithm == "rsa":
-        key = _parse_rsa_key(reader, kind)
-    elif algorithm == "dsa":
-        key = _parse_dsa_key(reader, kind)
-    else:
-        key = _parse_ec_key(reader, kind)
-    return algorithm, key
+    values = [reader.take_str("form"), reader.take_str("curve")] if scheme.on_curve else []
+    *public, private = scheme.key_fields
+    values += [reader.take_int(name) for name in public]
+    values.append(reader.take_int(private) if kind == "private" else None)
+    reader.finish()
+    return algorithm, scheme.parse_key(*values)
 
 
 def export_key(algorithm: str, key, path, public_only: bool = False) -> None:
-    data = render_key(algorithm, key, public_only)
-    with open(path, "wb") as fh:
-        fh.write(data.encode("utf-8"))
+    _write_text(path, render_key(algorithm, key, public_only))
 
 
 def import_key(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise KeyFileError(f"not valid UTF-8: {exc}") from exc
-    return parse_key(text)
+    return parse_key(_read_text(path))
 
 
 # --- signatures -------------------------------------------------------------
 
 
 def render_signature(algorithm: str, sig) -> str:
-    if algorithm == "rsa":
-        pairs = [("s", sig)]
-    elif algorithm in ("dsa", "ecdsa"):
-        pairs = [("r", sig.r), ("s", sig.s)]
-    elif algorithm == "eddsa":
-        pairs = [("rx", sig.R.x), ("ry", sig.R.y), ("s", sig.s)]
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return _render(SIG_HEADER, [("algorithm", algorithm)] + [(n, str(v)) for n, v in pairs])
+    scheme = get_scheme(algorithm)
+    pairs = [("algorithm", algorithm)] + list(zip(scheme.sig_fields, scheme.sig_ints(sig)))
+    return _render(SIG_HEADER, pairs)
 
 
 def parse_signature(text: str):
     """Inverse of render_signature; returns (algorithm, signature)."""
     reader = _FieldReader(_parse_lines(text, SIG_HEADER))
-    algorithm = reader.take_str("algorithm")
-    if algorithm == "rsa":
-        sig = reader.take_int("s")
-    elif algorithm == "dsa":
-        sig = DsaSignature(reader.take_int("r"), reader.take_int("s"))
-    elif algorithm == "ecdsa":
-        sig = EcdsaSignature(reader.take_int("r"), reader.take_int("s"))
-    elif algorithm == "eddsa":
-        rx = reader.take_int("rx")
-        ry = reader.take_int("ry")
-        sig = EddsaSignature(Point(rx, ry), reader.take_int("s"))
-    else:
-        raise KeyFileError(f"unknown algorithm {algorithm!r}")
+    algorithm, scheme = reader.take_scheme()
+    values = [reader.take_int(name) for name in scheme.sig_fields]
     reader.finish()
-    return algorithm, sig
+    return algorithm, scheme.sig_from_ints(*values)
 
 
 def export_signature(algorithm: str, sig, path) -> None:
-    data = render_signature(algorithm, sig)
-    with open(path, "wb") as fh:
-        fh.write(data.encode("utf-8"))
+    _write_text(path, render_signature(algorithm, sig))
 
 
 def import_signature(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise KeyFileError(f"not valid UTF-8: {exc}") from exc
-    return parse_signature(text)
+    return parse_signature(_read_text(path))

@@ -6,6 +6,7 @@ source so that code needing randomness can be replayed deterministically in
 tests by seeding; unseeded handles draw from the OS entropy pool.
 """
 
+import math
 import random
 
 from .errors import NotInvertibleError
@@ -46,38 +47,28 @@ class RngHandle:
 
 
 def mod_exp(base: int, exponent: int, modulus: int) -> int:
-    """Compute ``base**exponent mod modulus`` by left-to-right square-and-multiply."""
+    """Compute ``base**exponent mod modulus`` (builtin three-argument pow)."""
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     if exponent < 0:
         raise ValueError("negative exponents are not supported")
-    base %= modulus
-    result = 1
-    for i in range(exponent.bit_length() - 1, -1, -1):
-        result = (result * result) % modulus
-        if (exponent >> i) & 1:
-            result = (result * base) % modulus
-    return result
+    return pow(base, exponent, modulus)
 
 
 def mod_inv(a: int, modulus: int) -> int:
-    """Return b with ``a*b == 1 (mod modulus)``, 0 < b < modulus, via extended Euclid.
+    """Return b with ``a*b == 1 (mod modulus)``, 0 < b < modulus (builtin pow).
 
     Works for any modulus >= 2, prime or not; raises NotInvertibleError when
     gcd(a, modulus) != 1.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
-    a %= modulus
-    old_r, r = a, modulus
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    if old_r != 1:
-        raise NotInvertibleError(f"{a} is not invertible modulo {modulus} (gcd={old_r})")
-    return old_s % modulus
+    try:
+        return pow(a, -1, modulus)
+    except ValueError:
+        raise NotInvertibleError(
+            f"{a} is not invertible modulo {modulus} (gcd={math.gcd(a, modulus)})"
+        ) from None
 
 
 def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:

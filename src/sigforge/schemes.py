@@ -1,0 +1,197 @@
+"""The signature schemes as one table.
+
+``SCHEMES`` maps each algorithm name to a ``Scheme`` record holding what the
+other layers need to know about it: key generation, signing and verification,
+the hash rule and key size, and the field layout of its key and signature
+files.  It is the only list of algorithms in the package.
+
+The records reach the scheme functions through this module's globals at call
+time (hence the small lambdas), so a wrapper bound over a module attribute,
+such as a profiler's, also sees the calls made through the table.
+"""
+
+from dataclasses import dataclass
+from typing import Callable, Tuple
+
+from .curves import Point, is_neutral, is_on_curve, order_bits, scalar_mul
+from .ec_signatures import (
+    EcdsaSignature,
+    EcKey,
+    EddsaSignature,
+    ec_keygen,
+    ecdsa_sign,
+    ecdsa_verify,
+    eddsa_sign,
+    eddsa_verify,
+)
+from .errors import KeyFileError, UnknownCurveError
+from .ff_signatures import (
+    DsaKey,
+    DsaParams,
+    DsaSignature,
+    RsaKey,
+    dsa_keygen,
+    dsa_paramgen,
+    dsa_sign,
+    dsa_verify,
+    rsa_keygen,
+    rsa_sign,
+    rsa_verify,
+)
+from .hashing import digest_bits, select_hash_for_modulus, select_hash_for_order
+from .numeric import mod_exp
+from .registry import get_curve
+
+DEFAULT_BITS = 2048
+
+
+@dataclass(frozen=True)
+class Scheme:
+    keygen: Callable  # (rng, bits, curve name) -> key; None picks the default
+    sign: Callable  # (key, message, rng) -> signature
+    verify: Callable  # (key, message, signature) -> bool
+    on_curve: bool  # takes a curve (key files carry form and curve) or a modulus size
+    hash_name: Callable  # key -> name of the hash it signs with
+    key_size: Callable  # key -> modulus or base point order bits
+    key_fields: Tuple[str, ...]  # integer key fields in file order, the private one last
+    key_ints: Callable  # key -> the values of key_fields
+    parse_key: Callable  # (form, curve,) *key_fields values -> key; the private one may be None
+    sig_fields: Tuple[str, ...]
+    sig_ints: Callable  # signature -> the values of sig_fields
+    sig_from_ints: Callable  # *sig_fields values -> signature
+
+
+def get_scheme(algorithm: str) -> Scheme:
+    if algorithm not in SCHEMES:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return SCHEMES[algorithm]
+
+
+def dsa_subgroup_bits(modulus_bits: int) -> int:
+    """Subgroup size paired with a DSA modulus: the width of its selected hash."""
+    return digest_bits(select_hash_for_modulus(modulus_bits))
+
+
+def _dsa_keygen(rng, bits, curve):
+    size = bits or DEFAULT_BITS
+    return dsa_keygen(dsa_paramgen(size, dsa_subgroup_bits(size), rng), rng)
+
+
+# --- key file validators ------------------------------------------------------
+
+
+def _parse_rsa_key(n, e, d):
+    if n < 3 or n % 2 == 0:
+        raise KeyFileError("field 'n' is not a valid RSA modulus")
+    if not (2 < e < n) or e % 2 == 0:
+        raise KeyFileError("field 'e' is out of range")
+    if d is not None:
+        if not 0 < d < n:
+            raise KeyFileError("field 'd' is out of range")
+        # private material must invert the public exponent
+        for probe in (2, 3):
+            if mod_exp(mod_exp(probe, d, n), e, n) != probe % n:
+                raise KeyFileError("fields 'n', 'e', 'd' are not a consistent RSA key")
+    return RsaKey(n=n, e=e, d=d, modulus_bits=n.bit_length())
+
+
+def _parse_dsa_key(p, q, g, y, x):
+    if not 2 < q < p:
+        raise KeyFileError("fields 'p', 'q' are out of range")
+    if (p - 1) % q != 0:
+        raise KeyFileError("field 'q' does not divide p - 1")
+    if not 2 <= g < p - 1 or mod_exp(g, q, p) != 1:
+        raise KeyFileError("field 'g' is not a generator of the order-q subgroup")
+    if not 0 < y < p or mod_exp(y, q, p) != 1:
+        raise KeyFileError("field 'y' is not in the order-q subgroup")
+    if x is not None:
+        if not 0 < x < q:
+            raise KeyFileError("field 'x' is out of range")
+        if mod_exp(g, x, p) != y:
+            raise KeyFileError("fields 'x', 'y' are not a consistent DSA key")
+    return DsaKey(params=DsaParams(p=p, q=q, g=g), y=y, x=x)
+
+
+def _parse_ec_key(form, name, qx, qy, ka):
+    try:
+        curve = get_curve(name)
+    except UnknownCurveError as exc:
+        raise KeyFileError(f"field 'curve': {exc}") from exc
+    if form != curve.form:
+        raise KeyFileError(f"field 'form': curve {curve.name!r} has form {curve.form!r}")
+    public = Point(qx, qy)
+    if not is_on_curve(public, curve):
+        raise KeyFileError("fields 'qx', 'qy' are not a point on the curve")
+    if is_neutral(public, curve):
+        raise KeyFileError("public point is the neutral element")
+    if ka is not None:
+        if not 0 < ka < curve.n:
+            raise KeyFileError("field 'ka' is out of range")
+        if scalar_mul(ka, curve.g, curve) != public:
+            raise KeyFileError("fields 'ka', 'qx', 'qy' are not a consistent key pair")
+    return EcKey(curve=curve, q=public, ka=ka)
+
+
+# --- the table ----------------------------------------------------------------
+
+
+def _ec_scheme(default_curve, **entries):
+    """ECDSA and EdDSA share keys: a private scalar and its public point."""
+    return Scheme(
+        keygen=lambda rng, bits, curve: ec_keygen(get_curve(curve or default_curve), rng),
+        on_curve=True,
+        hash_name=lambda key: select_hash_for_order(order_bits(key.curve)),
+        key_size=lambda key: order_bits(key.curve),
+        key_fields=("qx", "qy", "ka"),
+        key_ints=lambda key: (key.q.x, key.q.y, key.ka),
+        parse_key=_parse_ec_key,
+        **entries,
+    )
+
+
+SCHEMES = {
+    "rsa": Scheme(
+        keygen=lambda rng, bits, curve: rsa_keygen(bits or DEFAULT_BITS, rng),
+        sign=lambda key, message, rng: rsa_sign(key, message),
+        verify=lambda key, message, sig: rsa_verify(key, message, sig),
+        on_curve=False,
+        hash_name=lambda key: select_hash_for_modulus(key.modulus_bits),
+        key_size=lambda key: key.modulus_bits,
+        key_fields=("n", "e", "d"),
+        key_ints=lambda key: (key.n, key.e, key.d),
+        parse_key=_parse_rsa_key,
+        sig_fields=("s",),
+        sig_ints=lambda sig: (sig,),
+        sig_from_ints=lambda s: s,
+    ),
+    "dsa": Scheme(
+        keygen=_dsa_keygen,
+        sign=lambda key, message, rng: dsa_sign(key, message, rng),
+        verify=lambda key, message, sig: dsa_verify(key, message, sig),
+        on_curve=False,
+        hash_name=lambda key: select_hash_for_modulus(key.params.p.bit_length()),
+        key_size=lambda key: key.params.p.bit_length(),
+        key_fields=("p", "q", "g", "y", "x"),
+        key_ints=lambda key: (key.params.p, key.params.q, key.params.g, key.y, key.x),
+        parse_key=_parse_dsa_key,
+        sig_fields=("r", "s"),
+        sig_ints=lambda sig: (sig.r, sig.s),
+        sig_from_ints=DsaSignature,
+    ),
+    "ecdsa": _ec_scheme(
+        "secp256k1",
+        sign=lambda key, message, rng: ecdsa_sign(key, message, rng),
+        verify=lambda key, message, sig: ecdsa_verify(key, message, sig),
+        sig_fields=("r", "s"),
+        sig_ints=lambda sig: (sig.r, sig.s),
+        sig_from_ints=EcdsaSignature,
+    ),
+    "eddsa": _ec_scheme(
+        "ed25519",
+        sign=lambda key, message, rng: eddsa_sign(key, message),
+        verify=lambda key, message, sig: eddsa_verify(key, message, sig),
+        sig_fields=("rx", "ry", "s"),
+        sig_ints=lambda sig: (sig.R.x, sig.R.y, sig.s),
+        sig_from_ints=lambda rx, ry, s: EddsaSignature(Point(rx, ry), s),
+    ),
+}

@@ -1,6 +1,6 @@
 import pytest
 
-from sigforge.binary_field import BfElement, BinaryField, is_irreducible
+from sigforge.binary_field import BinaryField, is_irreducible
 from sigforge.errors import NotInvertibleError
 
 from oracles import gf_inv_naive, gf_mul_naive
@@ -116,28 +116,6 @@ class TestFieldAxioms:
             for _ in range(size - 1):
                 acc = field.mul(acc, a)
             assert acc == 1
-
-
-class TestBfElement:
-    def test_operator_sugar(self):
-        a = GF16.element(6)
-        b = GF16.element(3)
-        assert int(a + b) == 5
-        assert int(a * b) == 10
-        assert int(GF16.element(2).inverse()) == 9
-        assert int(a.square()) == GF16.mul(6, 6)
-
-    def test_field_mismatch_rejected(self):
-        a = GF16.element(3)
-        b = GF256.element(3)
-        with pytest.raises(ValueError):
-            a + b
-        with pytest.raises(ValueError):
-            a * b
-
-    def test_out_of_range_element(self):
-        with pytest.raises(ValueError):
-            GF16.element(16)
 
 
 class TestIrreducibility:

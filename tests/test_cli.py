@@ -114,6 +114,16 @@ class TestIoErrors:
         rc = cli_main(["sign", "--key", str(bad), "--in", str(message_file), "--out", str(tmp_path / "s")])
         assert rc == EXIT_IO
 
+    def test_oversized_signature_field(self, tmp_path, message_file):
+        priv, pub = keygen(tmp_path, "--algorithm", "eddsa")
+        sig = tmp_path / "msg.sig"
+        cli_main(["sign", "--key", str(priv), "--in", str(message_file), "--out", str(sig)])
+        lines = sig.read_text().splitlines()
+        lines[-1] = "s: " + "7" * 5001
+        sig.write_text("\n".join(lines) + "\n")
+        rc = cli_main(["verify", "--key", str(pub), "--in", str(message_file), "--sig", str(sig)])
+        assert rc == EXIT_IO
+
     def test_missing_key_file(self, tmp_path, message_file):
         rc = cli_main(["verify", "--key", str(tmp_path / "nope"), "--in", str(message_file), "--sig", str(tmp_path / "s")])
         assert rc == EXIT_IO

@@ -1,7 +1,7 @@
 import pytest
 
 from sigforge import Cryptosystem
-from sigforge.cryptosystem import dsa_subgroup_bits
+from sigforge.schemes import dsa_subgroup_bits
 
 
 class TestConstruction:

@@ -4,7 +4,6 @@ from sigforge.curves import (
     EDWARDS,
     CurveSpec,
     Point,
-    coord_as_int,
     is_neutral,
     is_on_curve,
     negate,
@@ -203,17 +202,6 @@ class TestEdwardsDenominatorGuard:
         assert is_on_curve(P, bad)
         with pytest.raises(ValueError, match="denominator"):
             point_add(P, P, bad)
-
-
-class TestCoordAsInt:
-    def test_prime_field_identity(self):
-        assert coord_as_int(5, TOY_W17) == 5
-
-    def test_binary_bit_pattern(self):
-        assert coord_as_int(0b1010, TOY_K16) == 10
-
-    def test_edwards_neutral_x(self):
-        assert coord_as_int(neutral(TOY_ED13).x, TOY_ED13) == 0
 
 
 class TestOrderBits:

@@ -1,5 +1,6 @@
 import pytest
 
+from sigforge import ec_signatures
 from sigforge.curves import Point, negate, point_add, scalar_mul
 from sigforge.ec_signatures import (
     EcdsaSignature,
@@ -11,6 +12,7 @@ from sigforge.ec_signatures import (
     ecdsa_verify,
     ecdsa_verify_digest,
     eddsa_challenge,
+    eddsa_challenge_modulus,
     eddsa_nonce,
     eddsa_sign,
     eddsa_verify,
@@ -222,7 +224,39 @@ class TestEddsaOnRegistryCurves:
         sig = eddsa_sign(key, b"msg")
         assert eddsa_verify(key, b"msg", EddsaSignature(sig.R, -1)) is False
 
+    @pytest.mark.parametrize("name", ("ed25519", "k163"))
+    def test_s_beyond_honest_range_rejected(self, name, monkeypatch):
+        # adding n*modulus keeps s*G, since n*G is neutral, but an honest s is at
+        # most modulus*(n-1); verify rejects it before any scalar multiplication
+        curve = get_curve(name)
+        key = ec_keygen(curve, RngHandle(60))
+        sig = eddsa_sign(key, b"msg")
+        forged = EddsaSignature(sig.R, sig.s + curve.n * eddsa_challenge_modulus(curve))
+        assert scalar_mul(forged.s, curve.g, curve) == scalar_mul(sig.s, curve.g, curve)
+
+        def no_scalar_mul(*args):
+            raise AssertionError("scalar multiplication on an out-of-range s")
+
+        monkeypatch.setattr(ec_signatures, "scalar_mul", no_scalar_mul)
+        assert eddsa_verify(key, b"msg", forged) is False
+
     def test_public_only_cannot_sign(self):
         key = ec_keygen(get_curve("ed25519"), RngHandle(59)).public_only()
         with pytest.raises(MissingPrivateKeyError):
             eddsa_sign(key, b"m")
+
+
+class TestEddsaKeyRecovery:
+    def test_one_signature_and_its_message_reveal_the_private_scalar(self):
+        # the paper's variant as specified: the nonce r = H(H(m) || m) ignores
+        # the key and s = r + h*ka is left unreduced, so ka = (s - r) / h exactly
+        curve = get_curve("ed25519")
+        key = ec_keygen(curve, RngHandle(61))
+        message = b"a public message"
+        sig = eddsa_sign(key, message)
+        alg = select_hash_for_order(curve.n.bit_length())
+        r = eddsa_nonce(curve, message, alg)
+        h = eddsa_challenge(curve, sig.R, key.q, message, alg)
+        assert (sig.s - r) % h == 0
+        assert (sig.s - r) // h == key.ka
+        assert (sig.s - r) * mod_inv(h, curve.n) % curve.n == key.ka

@@ -199,6 +199,11 @@ class TestSignatureFiles:
         with pytest.raises(KeyFileError, match="header"):
             parse_signature("sigforge-key v1\nalgorithm: rsa\ns: 5\n")
 
+    def test_oversized_field_is_a_key_file_error(self):
+        # 5,001 digits is past the interpreter's int-from-string limit
+        with pytest.raises(KeyFileError, match=r"line 3: field 's' is too long"):
+            parse_signature("sigforge-sig v1\nalgorithm: rsa\ns: " + "9" * 5001 + "\n")
+
     def test_render_parse_lossless(self):
         sig = EddsaSignature(Point(7, 9), 123)
         text = render_signature("eddsa", sig)
@@ -221,6 +226,6 @@ class TestMutationFuzz:
             mutated[pos] = rng.getrandbits(8)
             try:
                 algorithm2, key2 = parse_key(bytes(mutated).decode("utf-8"))
-            except (KeyFileError, UnicodeDecodeError, ValueError):
+            except (KeyFileError, UnicodeDecodeError):
                 continue
             assert render_key(algorithm2, key2, public_only=public) == original

@@ -90,10 +90,6 @@ class BinaryField:
             if not 0 <= v < (1 << self.m):
                 raise ValueError(f"{v} is not an element of GF(2^{self.m})")
 
-    def add(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         """Carry-less product reduced modulo the field polynomial."""
         self._check(a, b)

@@ -1,6 +1,6 @@
 """Curve forms, group laws and scalar multiplication.
 
-Three curve forms are supported, all with affine coordinates:
+Three curve forms are supported:
 
 * ``weierstrass`` -- y^2 = x^3 + ax + b over a prime field; the neutral
   element is the point at infinity, represented as ``None``.
@@ -9,11 +9,18 @@ Three curve forms are supported, all with affine coordinates:
 * ``edwards``     -- a*x^2 + y^2 = 1 + d*x^2*y^2 over a prime field; the
   neutral element is the affine point (0, 1), never ``None``.
 
-Points are ``Point(x, y)`` named tuples of ints; for binary fields the ints
-are the polynomial bit patterns.
+Points are ``Point(x, y)`` named tuples of ints in affine coordinates; for
+binary fields the ints are the polynomial bit patterns.  Internally the group
+law runs in coordinates that need no field inversion per step: Jacobian
+(X, Y, Z) ~ (X/Z^2, Y/Z^3) on Weierstrass curves, extended twisted-Edwards
+(X, Y, Z, T) ~ (X/Z, Y/Z) with T = XY/Z on Edwards curves, and affine
+coordinates on Koblitz curves.  Each public result is converted back to
+affine exactly once, so it does not depend on the coordinates used.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import SimpleNamespace
 from typing import NamedTuple, Optional, Union
 
 from . import numeric
@@ -101,21 +108,144 @@ def _require_on_curve(point, curve):
         raise ValueError(f"point {point} is not on curve {curve.name}")
 
 
-def _add_weierstrass(p1, p2, curve):
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
+# --- Weierstrass: Jacobian coordinates, Z = 0 at infinity ----------------
+
+_JACOBIAN_INFINITY = (1, 1, 0)
+
+
+def _lift_jacobian(point, curve):
+    return _JACOBIAN_INFINITY if point is None else (point.x, point.y, 1)
+
+
+def _double_jacobian(P, curve):
+    # dbl-1998-cmo-2 for any a (Hankerson-Menezes-Vanstone, Guide to ECC, 3.2.2);
+    # a point with Y = 0 has order 2 and doubles to Z3 = 0, the point at infinity
+    X1, Y1, Z1 = P
     p = curve.field
-    if p1.x == p2.x:
-        if (p1.y + p2.y) % p == 0:
-            return None
-        lam = (3 * p1.x * p1.x + curve.a) * numeric.mod_inv(2 * p1.y % p, p) % p
+    XX = X1 * X1 % p
+    YY = Y1 * Y1 % p
+    ZZ = Z1 * Z1 % p
+    S = 4 * X1 * YY % p
+    M = (3 * XX + curve.a * ZZ * ZZ) % p
+    X3 = (M * M - 2 * S) % p
+    Y3 = (M * (S - X3) - 8 * YY * YY) % p
+    return (X3, Y3, 2 * Y1 * Z1 % p)
+
+
+def _add_jacobian(P, Q, curve):
+    # add-1998-cmo-2; when Q has Z = 1 (a comb table entry) this is mixed addition
+    X1, Y1, Z1 = P
+    X2, Y2, Z2 = Q
+    if Z1 == 0:
+        return Q
+    if Z2 == 0:
+        return P
+    p = curve.field
+    Z1Z1 = Z1 * Z1 % p
+    U2 = X2 * Z1Z1 % p
+    S2 = Y2 * Z1 % p * Z1Z1 % p
+    if Z2 == 1:
+        U1, S1, Z1Z2 = X1, Y1, Z1
     else:
-        lam = (p2.y - p1.y) * numeric.mod_inv((p2.x - p1.x) % p, p) % p
-    x3 = (lam * lam - p1.x - p2.x) % p
-    y3 = (lam * (p1.x - x3) - p1.y) % p
-    return Point(x3, y3)
+        Z2Z2 = Z2 * Z2 % p
+        U1 = X1 * Z2Z2 % p
+        S1 = Y1 * Z2 % p * Z2Z2 % p
+        Z1Z2 = Z1 * Z2 % p
+    H = (U2 - U1) % p
+    R = (S2 - S1) % p
+    if H == 0:  # same x: P == Q doubles, P == -Q cancels
+        return _double_jacobian(P, curve) if R == 0 else _JACOBIAN_INFINITY
+    HH = H * H % p
+    HHH = H * HH % p
+    V = U1 * HH % p
+    X3 = (R * R - HHH - 2 * V) % p
+    Y3 = (R * (V - X3) - S1 * HHH) % p
+    return (X3, Y3, Z1Z2 * H % p)
+
+
+def _negate_jacobian(P, curve):
+    X, Y, Z = P
+    return (X, -Y % curve.field, Z)
+
+
+def _to_affine_jacobian(P, curve):
+    X, Y, Z = P
+    if Z == 0:
+        return None
+    p = curve.field
+    zi = numeric.mod_inv(Z, p)
+    zi2 = zi * zi % p
+    return Point(X * zi2 % p, Y * zi2 % p * zi % p)
+
+
+# --- Edwards: extended coordinates (Hisil-Wong-Carter-Dawson 2008) -------
+
+_EXTENDED_NEUTRAL = (0, 1, 1, 0)
+
+
+def _lift_extended(point, curve):
+    x, y = point
+    return (x, y, 1, x * y % curve.field)
+
+
+def _extended_result(E, F, G, H, curve):
+    """(EF, GH, FG, EH), the common last step of the add and double formulas.
+
+    F and G are Z1*Z2*(1 -/+ d*x1*x2*y1*y2), the affine law's denominators
+    scaled by a nonzero factor, so they vanish exactly where the affine law
+    would divide by zero: on curves without a complete addition law.
+    """
+    p = curve.field
+    F %= p
+    G %= p
+    if F == 0 or G == 0:
+        raise ValueError(
+            f"edwards addition denominator vanished on {curve.name}: "
+            "curve parameters do not give a complete addition law"
+        )
+    H %= p
+    return (E * F % p, G * H % p, F * G % p, E * H % p)
+
+
+def _add_extended(P, Q, curve):
+    # add-2008-hwcd, unified: also right for P == Q and for the neutral element
+    p = curve.field
+    X1, Y1, Z1, T1 = P
+    X2, Y2, Z2, T2 = Q
+    A = X1 * X2 % p
+    B = Y1 * Y2 % p
+    C = curve.d * T1 % p * T2 % p
+    D = Z1 if Z2 == 1 else Z1 * Z2 % p
+    E = ((X1 + Y1) * (X2 + Y2) - A - B) % p
+    return _extended_result(E, D - C, D + C, B - curve.a * A, curve)
+
+
+def _double_extended(P, curve):
+    # dbl-2008-hwcd; on a curve point its F and G vanish where the add formula's do for P + P
+    p = curve.field
+    X1, Y1, Z1, _ = P
+    A = X1 * X1 % p
+    B = Y1 * Y1 % p
+    D = curve.a * A % p
+    E = ((X1 + Y1) * (X1 + Y1) - A - B) % p
+    G = D + B
+    return _extended_result(E, G - 2 * Z1 * Z1, G, D - B, curve)
+
+
+def _negate_extended(P, curve):
+    X, Y, Z, T = P
+    p = curve.field
+    return (-X % p, Y, Z, -T % p)
+
+
+def _to_affine_extended(P, curve):
+    X, Y, Z, _ = P
+    p = curve.field
+    zi = numeric.mod_inv(Z, p)
+    return Point(X * zi % p, Y * zi % p)
+
+
+# --- Koblitz: affine coordinates, one field inversion per step -------------
 
 
 def _add_koblitz(p1, p2, curve):
@@ -139,59 +269,174 @@ def _add_koblitz(p1, p2, curve):
     return Point(x3, y3)
 
 
-def _add_edwards(p1, p2, curve):
-    p = curve.field
-    x1, y1 = p1
-    x2, y2 = p2
-    t = curve.d * x1 * x2 % p * y1 % p * y2 % p
-    den1 = (1 + t) % p
-    den2 = (1 - t) % p
-    if den1 == 0 or den2 == 0:
-        raise ValueError(
-            f"edwards addition denominator vanished on {curve.name}: "
-            "curve parameters do not give a complete addition law"
-        )
-    x3 = (x1 * y2 + y1 * x2) * numeric.mod_inv(den1, p) % p
-    y3 = (y1 * y2 - curve.a * x1 * x2) * numeric.mod_inv(den2, p) % p
-    return Point(x3, y3)
+def _double_koblitz(P, curve):
+    return _add_koblitz(P, P, curve)
 
 
-_ADD = {WEIERSTRASS: _add_weierstrass, KOBLITZ: _add_koblitz, EDWARDS: _add_edwards}
+def _negate_koblitz(P, curve):
+    return None if P is None else Point(P.x, P.x ^ P.y)
+
+
+def _affine(P, curve):
+    return P
+
+
+# One form's internal point representation and its group law on it:
+#   neutral              the neutral element
+#   lift(point, curve)   affine Point (or None) -> internal point
+#   double(P, curve)     2P
+#   add(P, Q, curve)     P + Q, for any P and Q
+#   negate(P, curve)     -P
+#   to_affine(P, curve)  internal point -> affine Point, or None at infinity
+_COORDS = {
+    WEIERSTRASS: SimpleNamespace(
+        neutral=_JACOBIAN_INFINITY,
+        lift=_lift_jacobian,
+        double=_double_jacobian,
+        add=_add_jacobian,
+        negate=_negate_jacobian,
+        to_affine=_to_affine_jacobian,
+    ),
+    EDWARDS: SimpleNamespace(
+        neutral=_EXTENDED_NEUTRAL,
+        lift=_lift_extended,
+        double=_double_extended,
+        add=_add_extended,
+        negate=_negate_extended,
+        to_affine=_to_affine_extended,
+    ),
+    KOBLITZ: SimpleNamespace(
+        neutral=None,
+        lift=_affine,
+        double=_double_koblitz,
+        add=_add_koblitz,
+        negate=_negate_koblitz,
+        to_affine=_affine,
+    ),
+}
 
 
 def point_add(p1: PointLike, p2: PointLike, curve: CurveSpec) -> PointLike:
     """Group sum of two on-curve points."""
     _require_on_curve(p1, curve)
     _require_on_curve(p2, curve)
-    return _ADD[curve.form](p1, p2, curve)
+    c = _COORDS[curve.form]
+    return c.to_affine(c.add(c.lift(p1, curve), c.lift(p2, curve), curve), curve)
 
 
 def negate(point: PointLike, curve: CurveSpec) -> PointLike:
     """The group inverse of an on-curve point."""
     _require_on_curve(point, curve)
-    if point is None:
-        return None
-    if curve.form == WEIERSTRASS:
-        return Point(point.x, (-point.y) % curve.field)
-    if curve.form == KOBLITZ:
-        return Point(point.x, point.x ^ point.y)
-    return Point((-point.x) % curve.field, point.y)
+    c = _COORDS[curve.form]
+    return c.to_affine(c.negate(c.lift(point, curve), curve), curve)
 
 
-def scalar_mul(k: int, point: PointLike, curve: CurveSpec) -> PointLike:
-    """k-fold group sum by left-to-right double-and-add; k may be any int >= 0."""
+# --- scalar multiplication ---------------------------------------------------
+
+# Fixed-base comb (Lim-Lee; HMV Alg. 3.44): a scalar of at most COMB_TEETH * d
+# bits is read as COMB_TEETH rows of d bits, and each column selects one of
+# 2^COMB_TEETH precomputed sums of 2^(j*d) * G, so a multiple of G costs d
+# doublings and at most d additions.
+COMB_TEETH = 6
+# Variable-base width-w NAF (HMV Alg. 3.36): nonzero digits are odd, below
+# 2^(w-1) in size and at least w places apart, over 2^(w-2) odd multiples.
+WNAF_WIDTH = 4
+# comb tables kept, one per curve and comb spacing d, 2^COMB_TEETH points each
+COMB_TABLES = 128
+
+
+@lru_cache(maxsize=COMB_TABLES)
+def _comb_table(curve: CurveSpec, d: int) -> tuple:
+    """Entry a is sum(bit j of a * 2^(j*d) * G), with Z = 1 where the form has a Z."""
+    c = _COORDS[curve.form]
+    teeth = [c.lift(curve.g, curve)]
+    for _ in range(COMB_TEETH - 1):
+        P = teeth[-1]
+        for _ in range(d):
+            P = c.double(P, curve)
+        teeth.append(P)
+    table = [c.neutral]
+    for a in range(1, 1 << COMB_TEETH):
+        low = a & -a
+        table.append(c.add(table[a ^ low], teeth[low.bit_length() - 1], curve))
+    return tuple(c.lift(c.to_affine(P, curve), curve) for P in table)
+
+
+def _comb_mul(k, curve, c):
+    # the width depends on k and on the bit length of n only: k is never
+    # reduced mod n, so the result is exact even if n is not the order of G
+    d = -(-max(k.bit_length(), curve.n.bit_length()) // COMB_TEETH)
+    table = _comb_table(curve, d)
+    mask = (1 << d) - 1
+    rows = [format(k >> (j * d) & mask, f"0{d}b") for j in reversed(range(COMB_TEETH))]
+    double, add = c.double, c.add
+    acc = c.neutral
+    for column in zip(*rows):
+        acc = double(acc, curve)
+        index = int("".join(column), 2)
+        if index:
+            acc = add(acc, table[index], curve)
+    return acc
+
+
+def _wnaf(k):
+    """Width-WNAF_WIDTH NAF digits of k >= 0, least significant first."""
+    full, half = 1 << WNAF_WIDTH, 1 << (WNAF_WIDTH - 1)
+    digits = []
+    while k:
+        u = 0
+        if k & 1:
+            u = k & (full - 1)
+            if u >= half:
+                u -= full
+            k -= u
+        digits.append(u)
+        k >>= 1
+    return digits
+
+
+def _wnaf_mul(k, point, curve, c):
+    double, add = c.double, c.add
+    P = c.lift(point, curve)
+    twice = double(P, curve)
+    odd = [P]  # odd[i] = (2i + 1) * P
+    for _ in range((1 << (WNAF_WIDTH - 2)) - 1):
+        odd.append(add(odd[-1], twice, curve))
+    negated = [c.negate(Q, curve) for Q in odd]
+    acc = c.neutral
+    for u in reversed(_wnaf(k)):
+        acc = double(acc, curve)
+        if u > 0:
+            acc = add(acc, odd[u >> 1], curve)
+        elif u < 0:
+            acc = add(acc, negated[-u >> 1], curve)
+    return acc
+
+
+def _mul(k, point, curve, c):
+    """k * point in the form's internal coordinates: the comb for G, wNAF otherwise."""
     if k < 0:
         raise ValueError("scalar must be non-negative")
     _require_on_curve(point, curve)
-    acc = neutral(curve)
-    if k == 0 or is_neutral(point, curve):
-        return acc
-    add = _ADD[curve.form]
-    for i in range(k.bit_length() - 1, -1, -1):
-        acc = add(acc, acc, curve)
-        if (k >> i) & 1:
-            acc = add(acc, point, curve)
-    return acc
+    if point == curve.g:
+        return _comb_mul(k, curve, c)
+    return _wnaf_mul(k, point, curve, c)
+
+
+def scalar_mul(k: int, point: PointLike, curve: CurveSpec) -> PointLike:
+    """k-fold group sum; k may be any int >= 0 and is never reduced mod n.
+
+    Multiples of the base point ``curve.g`` use a fixed-base comb whose table
+    is cached per curve and scalar width; any other point uses width-w NAF.
+    """
+    c = _COORDS[curve.form]
+    return c.to_affine(_mul(k, point, curve, c), curve)
+
+
+def mul_add(k1: int, p1: PointLike, k2: int, p2: PointLike, curve: CurveSpec) -> PointLike:
+    """k1 * p1 + k2 * p2, each product as in ``scalar_mul``, converted to affine once."""
+    c = _COORDS[curve.form]
+    return c.to_affine(c.add(_mul(k1, p1, curve, c), _mul(k2, p2, curve, c), curve), curve)
 
 
 def order_bits(curve: CurveSpec) -> int:

@@ -19,8 +19,8 @@ from .curves import (
     Point,
     is_neutral,
     is_on_curve,
+    mul_add,
     order_bits,
-    point_add,
     scalar_mul,
 )
 from .errors import MissingPrivateKeyError
@@ -95,9 +95,7 @@ def ecdsa_verify_digest(key: EcKey, hm: int, sig: EcdsaSignature) -> bool:
     if not (0 < r < curve.n and 0 < s < curve.n):
         return False
     w = mod_inv(s, curve.n)
-    u1 = scalar_mul(hm * w % curve.n, curve.g, curve)
-    u2 = scalar_mul(r * w % curve.n, key.q, curve)
-    total = point_add(u1, u2, curve)
+    total = mul_add(hm * w % curve.n, curve.g, r * w % curve.n, key.q, curve)
     if is_neutral(total, curve):
         return False
     return total.x % curve.n == r
@@ -154,6 +152,4 @@ def eddsa_verify(key: EcKey, message: bytes, sig: EddsaSignature) -> bool:
         return False
     alg = select_hash_for_order(order_bits(curve))
     h = eddsa_challenge(curve, big_r, key.q, message, alg)
-    p1 = scalar_mul(s, curve.g, curve)
-    p2 = point_add(big_r, scalar_mul(h, key.q, curve), curve)
-    return p1 == p2
+    return scalar_mul(s, curve.g, curve) == mul_add(1, big_r, h, key.q, curve)

@@ -22,6 +22,34 @@ SIG_HEADER = "sigforge-sig v1"
 
 _DECIMAL = re.compile(r"^(0|[1-9][0-9]*)$")
 
+# The longest integer field: a value below a 15360-bit modulus, the largest
+# size hashing.select_hash_for_modulus names a hash for (2^15360 - 1 has
+# 4,624 digits).  Longer fields are refused before any conversion.
+MAX_FIELD_DIGITS = 4624
+# Decimal conversions go chunk by chunk: 600 digits is below the interpreter's
+# int/str digit limit at every value that limit can be set to (at least 640).
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _to_decimal(value: int) -> str:
+    """Canonical base-10 text of a non-negative int of any length."""
+    chunks = []
+    while value >= _CHUNK:
+        value, low = divmod(value, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(value))
+    return "".join(reversed(chunks))
+
+
+def _from_decimal(text: str) -> int:
+    """Inverse of _to_decimal for a string of ASCII digits."""
+    value = 0
+    for start in range(0, len(text), _CHUNK_DIGITS):
+        chunk = text[start : start + _CHUNK_DIGITS]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
 
 def _render(header, pairs):
     return "".join([header, "\n"] + [f"{name}: {value}\n" for name, value in pairs])
@@ -76,12 +104,12 @@ class _FieldReader:
             raise KeyFileError(
                 f"line {lineno}: field {name!r} is not a canonical decimal integer"
             )
-        try:
-            return int(value)
-        except ValueError as exc:  # beyond the interpreter's int-from-string digit limit
+        if len(value) > MAX_FIELD_DIGITS:
             raise KeyFileError(
-                f"line {lineno}: field {name!r} is too long ({len(value)} digits)"
-            ) from exc
+                f"line {lineno}: field {name!r} is too long "
+                f"({len(value)} digits, at most {MAX_FIELD_DIGITS})"
+            )
+        return _from_decimal(value)
 
     def take_scheme(self):
         algorithm = self.take_str("algorithm")
@@ -109,7 +137,7 @@ def render_key(algorithm: str, key, public_only: bool = False) -> str:
         pairs += [("form", key.curve.form), ("curve", key.curve.name)]
     pairs.append(("type", "public" if public_only else "private"))
     count = len(scheme.key_fields) - public_only
-    pairs += zip(scheme.key_fields[:count], scheme.key_ints(key)[:count])
+    pairs += zip(scheme.key_fields[:count], map(_to_decimal, scheme.key_ints(key)[:count]))
     return _render(KEY_HEADER, pairs)
 
 
@@ -142,7 +170,7 @@ def import_key(path):
 
 def render_signature(algorithm: str, sig) -> str:
     scheme = get_scheme(algorithm)
-    pairs = [("algorithm", algorithm)] + list(zip(scheme.sig_fields, scheme.sig_ints(sig)))
+    pairs = [("algorithm", algorithm)] + list(zip(scheme.sig_fields, map(_to_decimal, scheme.sig_ints(sig))))
     return _render(SIG_HEADER, pairs)
 
 

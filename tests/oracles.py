@@ -59,6 +59,43 @@ def gf_mul_naive(a, b, poly):
     return poly_mod_naive(poly_mul_naive(a, b), poly)
 
 
+def poly_mul_shift(a, b):
+    """Carry-less shift-and-add product: one pass over the bits of b."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
+
+
+def gf_mul_shift(a, b, poly):
+    """Field product fast enough for registry-sized fields."""
+    return poly_mod_naive(poly_mul_shift(a, b), poly)
+
+
+def gf_inv_euclid(a, poly):
+    """Inverse by the extended Euclidean algorithm with polynomial long division."""
+    r0, r1 = poly, a
+    s0, s1 = 0, 1
+    while r1 != 1:
+        q, r = 0, r0
+        while r.bit_length() >= r1.bit_length():
+            shift = r.bit_length() - r1.bit_length()
+            q ^= 1 << shift
+            r ^= r1 << shift
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 ^ poly_mul_shift(s1, q)
+    return poly_mod_naive(s1, poly)
+
+
+def builtin_mod_inv(a, p):
+    """Inverse by the interpreter's three-argument pow, for registry-sized
+    prime fields where brute_mod_inv cannot finish."""
+    return pow(a, -1, p)
+
+
 def gf_inv_naive(a, poly, m):
     """Brute-force scan of all nonzero field elements."""
     for b in range(1, 1 << m):
@@ -103,7 +140,7 @@ def koblitz_points(m, poly, a, b):
 # --- independent group laws --------------------------------------------------
 
 
-def w_add(P, Q, p, a):
+def w_add(P, Q, p, a, inv=brute_mod_inv):
     """Chord-and-tangent sum on y^2 = x^3 + ax + b over F_p."""
     if P is None:
         return Q
@@ -114,26 +151,30 @@ def w_add(P, Q, p, a):
     if x1 == x2 and (y1 + y2) % p == 0:
         return None
     if P == Q:
-        lam = (3 * x1 * x1 + a) * brute_mod_inv(2 * y1 % p, p) % p
+        lam = (3 * x1 * x1 + a) * inv(2 * y1 % p, p) % p
     else:
-        lam = (y2 - y1) * brute_mod_inv((x2 - x1) % p, p) % p
+        lam = (y2 - y1) * inv((x2 - x1) % p, p) % p
     x3 = (lam * lam - x1 - x2) % p
     y3 = (lam * (x1 - x3) - y1) % p
     return (x3, y3)
 
 
-def ed_add(P, Q, p, a, d):
+def ed_add(P, Q, p, a, d, inv=brute_mod_inv):
     """Unified twisted-Edwards sum; neutral is (0, 1)."""
     x1, y1 = P
     x2, y2 = Q
     t = d * x1 * x2 * y1 * y2 % p
-    x3 = (x1 * y2 + y1 * x2) * brute_mod_inv((1 + t) % p, p) % p
-    y3 = (y1 * y2 - a * x1 * x2) * brute_mod_inv((1 - t) % p, p) % p
+    x3 = (x1 * y2 + y1 * x2) * inv((1 + t) % p, p) % p
+    y3 = (y1 * y2 - a * x1 * x2) * inv((1 - t) % p, p) % p
     return (x3, y3)
 
 
-def k_add(P, Q, m, poly, a):
-    """Binary-Weierstrass sum on y^2 + xy = x^3 + ax^2 + b over GF(2^m)."""
+def k_add(P, Q, m, poly, a, fast=False):
+    """Binary-Weierstrass sum on y^2 + xy = x^3 + ax^2 + b over GF(2^m).
+
+    Schoolbook product and brute-force inverse, or with ``fast`` the
+    shift-and-add product and the Euclidean inverse.
+    """
     if P is None:
         return Q
     if Q is None:
@@ -142,10 +183,10 @@ def k_add(P, Q, m, poly, a):
     x2, y2 = Q
 
     def mul(u, v):
-        return gf_mul_naive(u, v, poly)
+        return gf_mul_shift(u, v, poly) if fast else gf_mul_naive(u, v, poly)
 
     def inv(u):
-        return gf_inv_naive(u, poly, m)
+        return gf_inv_euclid(u, poly) if fast else gf_inv_naive(u, poly, m)
 
     if x1 == x2:
         if y2 == x1 ^ y1:
@@ -157,6 +198,16 @@ def k_add(P, Q, m, poly, a):
         x3 = mul(lam, lam) ^ lam ^ a ^ x1 ^ x2
     y3 = mul(lam, x1 ^ x3) ^ x3 ^ y1
     return (x3, y3)
+
+
+def double_and_add(k, P, add, neutral):
+    """k*P for k >= 0 by plain left-to-right double-and-add over an affine law."""
+    acc = neutral
+    for bit in bin(k)[2:]:
+        acc = add(acc, acc)
+        if bit == "1":
+            acc = add(acc, P)
+    return acc
 
 
 def cyclic_table(add, G, neutral):

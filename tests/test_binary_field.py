@@ -16,19 +16,6 @@ def test_field_construction_validates_polynomial():
         BinaryField(4, 0b1011)  # degree too low
 
 
-class TestAdd:
-    def test_self_cancels(self):
-        for a in range(16):
-            assert GF16.add(a, a) == 0
-
-    def test_identity(self):
-        for a in range(16):
-            assert GF16.add(a, 0) == a
-
-    def test_is_xor(self):
-        assert GF16.add(0b0110, 0b0011) == 0b0101
-
-
 class TestMul:
     def test_identity(self):
         for a in range(16):

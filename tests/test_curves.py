@@ -1,11 +1,16 @@
+import dataclasses
+import random
+
 import pytest
 
 from sigforge.curves import (
     EDWARDS,
+    WEIERSTRASS,
     CurveSpec,
     Point,
     is_neutral,
     is_on_curve,
+    mul_add,
     negate,
     neutral,
     order_bits,
@@ -13,11 +18,14 @@ from sigforge.curves import (
     scalar_mul,
     validate_curve,
 )
-from sigforge.registry import get_curve
+from sigforge.numeric import is_probable_prime
+from sigforge.registry import curve_names, get_curve
 
 from conftest import GF16, TOY_ED13, TOY_K16, TOY_W17
 from oracles import (
+    builtin_mod_inv,
     cyclic_table,
+    double_and_add,
     ed_add,
     edwards_points,
     k_add,
@@ -194,6 +202,82 @@ class TestScalarMul:
             scalar_mul(-1, TOY_W17.g, TOY_W17)
 
 
+def _registry_oracle(curve):
+    """(add, neutral) of an independent affine group law with the curve's parameters."""
+    if curve.form == WEIERSTRASS:
+        return (lambda P, Q: w_add(P, Q, curve.field, curve.a, builtin_mod_inv)), None
+    if curve.form == EDWARDS:
+        return (lambda P, Q: ed_add(P, Q, curve.field, curve.a, curve.d, builtin_mod_inv)), (0, 1)
+    f = curve.field
+    return (lambda P, Q: k_add(P, Q, f.m, f.poly, curve.a, fast=True)), None
+
+
+class TestScalarMulAgainstAffineOracle:
+    """The comb (multiples of G) and wNAF (any other point) paths, and the
+    verify sums, against plain affine double-and-add on every registry curve."""
+
+    @pytest.fixture(params=curve_names())
+    def case(self, request):
+        curve = get_curve(request.param)
+        add, e = _registry_oracle(curve)
+        rng = random.Random(request.param)
+        n = curve.n
+        # an EdDSA s reaches n * p, or n * 2^m on a binary field
+        wide = rng.randrange(n, n * curve.field_size)
+        return curve, add, e, rng, (0, 1, 2, n - 1, n, n + 1, rng.randrange(n), wide)
+
+    @staticmethod
+    def oracle_multiples(ks, P, add, e):
+        """{k: k*P}: one double-and-add per scalar, and k+1 from k by one addition."""
+        out = {}
+        for k in sorted(ks):
+            out[k] = add(out[k - 1], P) if k - 1 in out else double_and_add(k, P, add, e)
+        return out
+
+    @staticmethod
+    def as_tuple(P):
+        return None if P is None else tuple(P)
+
+    def test_fixed_base(self, case):
+        curve, add, e, _, scalars = case
+        want = self.oracle_multiples(scalars, tuple(curve.g), add, e)
+        for k in scalars:
+            assert self.as_tuple(scalar_mul(k, curve.g, curve)) == want[k], k
+
+    def test_variable_base(self, case):
+        curve, add, e, rng, scalars = case
+        Q = double_and_add(rng.randrange(2, curve.n), tuple(curve.g), add, e)
+        want = self.oracle_multiples(scalars, Q, add, e)
+        for k in scalars:
+            assert self.as_tuple(scalar_mul(k, Point(*Q), curve)) == want[k], k
+
+    def test_verify_sums(self, case):
+        curve, add, e, rng, _ = case
+        n, G = curve.n, tuple(curve.g)
+        j = rng.randrange(2, n)
+        Q = double_and_add(j, G, add, e)
+        # ECDSA u1*G + u2*Q, including the sums that cancel and that double
+        u2 = rng.randrange(1, n)
+        u2Q = double_and_add(u2, Q, add, e)
+        for u1 in (rng.randrange(1, n), (n - u2 * j) % n, u2 * j % n):
+            want = add(double_and_add(u1, G, add, e), u2Q)
+            assert self.as_tuple(mul_add(u1, curve.g, u2, Point(*Q), curve)) == want, u1
+        # EdDSA R + h*Q with a challenge h below the challenge modulus
+        R = double_and_add(rng.randrange(1, n), G, add, e)
+        h = rng.randrange(curve.field_size)
+        want = add(R, double_and_add(h, Q, add, e))
+        assert self.as_tuple(mul_add(1, Point(*R), h, Point(*Q), curve)) == want
+
+    def test_fast_oracle_laws_match_toy_oracles(self):
+        # the registry oracle's inverses and products agree with brute force
+        for curve in TOYS:
+            universe, toy_add = _oracle_universe(curve)
+            add, _ = _registry_oracle(curve)
+            for P in universe:
+                for Q in universe:
+                    assert add(P, Q) == toy_add(P, Q)
+
+
 class TestEdwardsDenominatorGuard:
     def test_incomplete_curve_surfaces_error(self):
         # d = 4 is a square mod 13, so the unified law has exceptional pairs
@@ -202,6 +286,8 @@ class TestEdwardsDenominatorGuard:
         assert is_on_curve(P, bad)
         with pytest.raises(ValueError, match="denominator"):
             point_add(P, P, bad)
+        with pytest.raises(ValueError, match="denominator"):
+            scalar_mul(2, P, bad)  # the doubling formula keeps the same guard
 
 
 class TestOrderBits:
@@ -224,6 +310,16 @@ class TestValidateCurve:
         broken = CurveSpec("broken", TOY_W17.form, 17, 2, 2, Point(5, 1), 18, 1)
         with pytest.raises(ValueError, match="not prime"):
             validate_curve(broken)
+
+    def test_wrong_order_rejected_on_registry_curve(self):
+        # the comb computes n * G exactly, never reducing the scalar mod n:
+        # with n replaced by another prime, n * G is not neutral
+        curve = get_curve("p256")
+        other = curve.n - 2
+        while not is_probable_prime(other):
+            other -= 2
+        with pytest.raises(ValueError, match=r"n \* G is not the neutral element"):
+            validate_curve(dataclasses.replace(curve, n=other))
 
     def test_hasse_violation_rejected(self):
         # n = 19 with cofactor 3 puts h*n far outside the interval around 18

@@ -1,3 +1,5 @@
+import decimal
+
 import pytest
 
 from sigforge.ec_signatures import EcdsaSignature, EddsaSignature, ec_keygen, eddsa_sign
@@ -5,6 +7,7 @@ from sigforge.curves import Point, is_on_curve
 from sigforge.errors import KeyFileError, MissingPrivateKeyError
 from sigforge.ff_signatures import (
     DsaSignature,
+    RsaKey,
     dsa_keygen,
     dsa_paramgen,
     rsa_keygen,
@@ -80,6 +83,17 @@ class TestKeyRoundtrip:
             text = render_key(algorithm, keys[algorithm])
             algorithm2, key2 = parse_key(text)
             assert render_key(algorithm2, key2) == text
+
+    def test_public_rsa_key_at_the_largest_modulus(self):
+        # a constructed 15360-bit n: 4,624 digits, past the interpreter's
+        # default int/str limit of 4,300; decimal.Decimal converts without it
+        n = (1 << 15359) | RngHandle(15360).getrandbits(15359) | 1
+        key = RsaKey(n=n, e=65537, modulus_bits=15360)
+        text = render_key("rsa", key, public_only=True)
+        digits = str(decimal.Decimal(n))
+        assert len(digits) == 4624
+        assert f"\nn: {digits}\n" in text
+        assert parse_key(text) == ("rsa", key)
 
     def test_cannot_export_private_from_public_key(self, keys, tmp_path):
         public = keys["eddsa"].public_only()
@@ -203,6 +217,10 @@ class TestSignatureFiles:
         # 5,001 digits is past the interpreter's int-from-string limit
         with pytest.raises(KeyFileError, match=r"line 3: field 's' is too long"):
             parse_signature("sigforge-sig v1\nalgorithm: rsa\ns: " + "9" * 5001 + "\n")
+
+    def test_field_past_the_largest_modulus_is_refused(self):
+        with pytest.raises(KeyFileError, match=r"field 's' is too long \(4625 digits"):
+            parse_signature("sigforge-sig v1\nalgorithm: rsa\ns: " + "9" * 4625 + "\n")
 
     def test_render_parse_lossless(self):
         sig = EddsaSignature(Point(7, 9), 123)

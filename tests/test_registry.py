@@ -1,5 +1,6 @@
 import pytest
 
+from sigforge import registry
 from sigforge.curves import is_on_curve, is_neutral, order_bits, scalar_mul, validate_curve
 from sigforge.errors import UnknownCurveError
 from sigforge.numeric import RngHandle, is_probable_prime, rand_below
@@ -52,6 +53,29 @@ def test_unknown_curve_lists_names():
         get_curve("nonexistent")
     assert "secp256k1" in str(err.value)
     assert "ed25519" in str(err.value)
+
+
+def test_validation_is_lazy_and_per_curve(monkeypatch):
+    validated = []
+    monkeypatch.setattr(registry, "validate_curve", lambda spec: validated.append(spec.name))
+    monkeypatch.setattr(registry, "_validated", set())
+    assert len(curve_names()) == 14
+    assert validated == []
+    get_curve("p256")
+    get_curve("P256")
+    get_curve("ed25519")
+    assert validated == ["p256", "ed25519"]
+
+
+def test_failed_validation_is_not_cached(monkeypatch):
+    def reject(spec):
+        raise ValueError(f"curve {spec.name!r}: rejected")
+
+    monkeypatch.setattr(registry, "validate_curve", reject)
+    monkeypatch.setattr(registry, "_validated", set())
+    for _ in range(2):
+        with pytest.raises(ValueError, match="rejected"):
+            get_curve("k163")
 
 
 def test_lookup_is_case_insensitive():

@@ -3,11 +3,54 @@
 Field elements are ints whose bit i is the coefficient of x^i, so addition is
 XOR and every element fits in m bits.  ``BinaryField`` carries the extension
 degree and the reduction polynomial (same encoding, bit m set).
+
+The arithmetic leans on the interpreter's integer and bytes primitives:
+
+- Multiplication spreads each bit of both operands into its own byte and
+  multiplies the two spread integers once.  Byte k of that product counts the
+  pairs i + j = k with both bits set, so its low bit is coefficient k of the
+  carry-less product.  A count stays below 256, and never carries into the
+  next byte, only while one operand has at most 255 bits, so that operand is
+  taken 255 bits (one lane) at a time; every registry field fits in one lane.
+- Squaring reads the binary digits of its operand as base-4 digits, which
+  puts a zero bit after every bit: coefficient i moves to x^(2i).
+- Reduction folds the bits at and above x^m back onto the polynomial's lower
+  terms, since x^m = poly - x^m modulo poly (Hankerson-Menezes-Vanstone,
+  Guide to ECC, 2.3.5).  Each fold is one shift-and-XOR per term; the
+  registry's trinomials and pentanomials need two or three folds.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NotInvertibleError
+
+_LANE_BITS = 255
+_LANE_MASK = (1 << _LANE_BITS) - 1
+_BIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
+_BYTE_PARITY = bytes(b"01"[i & 1] for i in range(256))
+
+
+def _byte_per_bit(a: int) -> int:
+    """The int whose byte i is bit i of a."""
+    return int.from_bytes(format(a, "b").encode("ascii").translate(_BIT_TO_BYTE), "big")
+
+
+def _clmul(a: int, b: int) -> int:
+    """Carry-less product of two GF(2)[x] polynomials."""
+    spread_b = _byte_per_bit(b)
+    prod = shift = 0
+    while a:
+        counts = _byte_per_bit(a & _LANE_MASK) * spread_b
+        bits = counts.to_bytes(counts.bit_length() // 8 + 1, "big").translate(_BYTE_PARITY)
+        prod ^= int(bits, 2) << shift
+        a >>= _LANE_BITS
+        shift += _LANE_BITS
+    return prod
+
+
+def _poly_square(a: int) -> int:
+    """Square in GF(2)[x]: coefficient of x^i moves to x^(2i)."""
+    return int(format(a, "b"), 4)
 
 
 def _poly_mod(value: int, poly: int) -> int:
@@ -23,24 +66,15 @@ def _poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def _spread_bits(a: int) -> int:
-    # squaring in GF(2)[x]: coefficient of x^i moves to x^(2i)
-    r = 0
-    while a:
-        low = a & -a
-        r |= 1 << (2 * (low.bit_length() - 1))
-        a ^= low
-    return r
-
-
 def is_irreducible(poly: int) -> bool:
     """Rabin irreducibility test for a GF(2) polynomial given as a bit mask."""
     m = poly.bit_length() - 1
     if m < 1 or not poly & 1:
         return False
+    ring = BinaryField(m, poly)
 
     def square_mod(t):
-        return _poly_mod(_spread_bits(t), poly)
+        return ring._reduce(_poly_square(t))
 
     factors = []
     k, f = m, 2
@@ -72,6 +106,9 @@ class BinaryField:
 
     m: int
     poly: int
+    # exponents of the terms of poly below x^m, and 2^m - 1; set from poly
+    _taps: tuple = field(init=False, repr=False, compare=False)
+    _mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -80,6 +117,9 @@ class BinaryField:
             raise ValueError(
                 f"reduction polynomial must have degree {self.m} and constant term 1"
             )
+        taps = tuple(i for i in range(self.m) if (self.poly >> i) & 1)
+        object.__setattr__(self, "_taps", taps)
+        object.__setattr__(self, "_mask", (1 << self.m) - 1)
 
     @property
     def size(self) -> int:
@@ -90,23 +130,31 @@ class BinaryField:
             if not 0 <= v < (1 << self.m):
                 raise ValueError(f"{v} is not an element of GF(2^{self.m})")
 
+    def _reduce(self, v: int) -> int:
+        """v mod poly, for any v >= 0, by folding the high part onto the taps."""
+        m, mask, taps = self.m, self._mask, self._taps
+        high = v >> m
+        while high:
+            v &= mask
+            for t in taps:
+                v ^= high << t
+            high = v >> m
+        return v
+
     def mul(self, a: int, b: int) -> int:
         """Carry-less product reduced modulo the field polynomial."""
         self._check(a, b)
-        prod = 0
-        x = a
-        while x:
-            low = x & -x
-            prod ^= b << (low.bit_length() - 1)
-            x ^= low
-        return _poly_mod(prod, self.poly)
+        return self._reduce(_clmul(a, b))
 
     def square(self, a: int) -> int:
         self._check(a)
-        return _poly_mod(_spread_bits(a), self.poly)
+        return self._reduce(_poly_square(a))
 
     def inv(self, a: int) -> int:
-        """Inverse via extended Euclid over GF(2)[x]."""
+        """Inverse via extended Euclid over GF(2)[x] (HMV Algorithm 2.48).
+
+        g1 and g2 keep degree below m throughout, so g1 needs no reduction.
+        """
         self._check(a)
         if a == 0:
             raise NotInvertibleError("0 has no inverse in a binary field")
@@ -120,4 +168,4 @@ class BinaryField:
             j = u.bit_length() - v.bit_length()
             u ^= v << j
             g1 ^= g2 << j
-        return _poly_mod(g1, self.poly)
+        return g1

@@ -94,6 +94,8 @@ def ecdsa_verify_digest(key: EcKey, hm: int, sig: EcdsaSignature) -> bool:
     r, s = sig
     if not (0 < r < curve.n and 0 < s < curve.n):
         return False
+    if not is_on_curve(key.q, curve):
+        return False
     w = mod_inv(s, curve.n)
     total = mul_add(hm * w % curve.n, curve.g, r * w % curve.n, key.q, curve)
     if is_neutral(total, curve):
@@ -148,7 +150,7 @@ def eddsa_verify(key: EcKey, message: bytes, sig: EddsaSignature) -> bool:
     if not isinstance(big_r, tuple) or len(big_r) != 2:
         return False
     big_r = Point(*big_r)
-    if not is_on_curve(big_r, curve):
+    if not (is_on_curve(big_r, curve) and is_on_curve(key.q, curve)):
         return False
     alg = select_hash_for_order(order_bits(curve))
     h = eddsa_challenge(curve, big_r, key.q, message, alg)

@@ -24,7 +24,8 @@ _DECIMAL = re.compile(r"^(0|[1-9][0-9]*)$")
 
 # The longest integer field: a value below a 15360-bit modulus, the largest
 # size hashing.select_hash_for_modulus names a hash for (2^15360 - 1 has
-# 4,624 digits).  Longer fields are refused before any conversion.
+# 4,624 digits).  Longer fields are never written, and are refused on import
+# before any conversion.
 MAX_FIELD_DIGITS = 4624
 # Decimal conversions go chunk by chunk: 600 digits is below the interpreter's
 # int/str digit limit at every value that limit can be set to (at least 640).
@@ -51,8 +52,21 @@ def _from_decimal(text: str) -> int:
     return value
 
 
+def _check_length(lineno, name, value):
+    if len(value) > MAX_FIELD_DIGITS:
+        raise KeyFileError(
+            f"line {lineno}: field {name!r} is too long "
+            f"({len(value)} digits, at most {MAX_FIELD_DIGITS})"
+        )
+
+
 def _render(header, pairs):
-    return "".join([header, "\n"] + [f"{name}: {value}\n" for name, value in pairs])
+    """The file text; refuses, as the parser would, any field over MAX_FIELD_DIGITS."""
+    lines = [header]
+    for lineno, (name, value) in enumerate(pairs, start=2):
+        _check_length(lineno, name, value)
+        lines.append(f"{name}: {value}")
+    return "\n".join(lines) + "\n"
 
 
 def _parse_lines(text, header):
@@ -104,11 +118,7 @@ class _FieldReader:
             raise KeyFileError(
                 f"line {lineno}: field {name!r} is not a canonical decimal integer"
             )
-        if len(value) > MAX_FIELD_DIGITS:
-            raise KeyFileError(
-                f"line {lineno}: field {name!r} is too long "
-                f"({len(value)} digits, at most {MAX_FIELD_DIGITS})"
-            )
+        _check_length(lineno, name, value)
         return _from_decimal(value)
 
     def take_scheme(self):

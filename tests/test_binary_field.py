@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from sigforge.binary_field import BinaryField, is_irreducible
 from sigforge.errors import NotInvertibleError
+from sigforge.registry import get_curve
 
-from oracles import gf_inv_naive, gf_mul_naive
+from oracles import gf_inv_euclid, gf_inv_naive, gf_mul_naive, gf_mul_shift
 
 GF16 = BinaryField(4, 0b10011)  # x^4 + x + 1
 GF256 = BinaryField(8, 0b100011011)  # x^8 + x^4 + x^3 + x + 1 (AES polynomial)
@@ -125,3 +128,43 @@ class TestIrreducibility:
         assert is_irreducible((1 << 113) | (1 << 9) | 1)
         assert is_irreducible((1 << 163) | (1 << 7) | (1 << 6) | (1 << 3) | 1)
         assert is_irreducible((1 << 233) | (1 << 74) | 1)
+
+
+# more than 255 bits, so a multiplication takes its operand in two lanes
+GF283 = BinaryField(283, (1 << 283) | (1 << 12) | (1 << 7) | (1 << 5) | 1)
+# every term below x^100 present: each reduction fold lowers the degree by one
+GF_DENSE100 = BinaryField(100, (1 << 101) - 1)
+_UNNAMED_FIELDS = {"x^283+x^12+x^7+x^5+1": GF283, "all-ones degree 100": GF_DENSE100}
+
+
+def _operands(field, count, seed):
+    edges = [0, 1, 1 << (field.m - 1), (1 << field.m) - 1]
+    rng = random.Random(seed)
+    return edges + [rng.getrandbits(field.m) for _ in range(count)]
+
+
+class TestLargeFieldsAgainstOracle:
+    @pytest.fixture(scope="class", params=["sect113r1", "k163", "k233", *_UNNAMED_FIELDS])
+    def field(self, request):
+        if request.param in _UNNAMED_FIELDS:
+            return _UNNAMED_FIELDS[request.param]
+        return get_curve(request.param).field
+
+    def test_mul(self, field):
+        values = _operands(field, 24, 1)
+        for a in values:
+            for b in values[:8] + [a]:
+                assert field.mul(a, b) == gf_mul_shift(a, b, field.poly)
+
+    def test_square(self, field):
+        for a in _operands(field, 60, 2):
+            assert field.square(a) == gf_mul_shift(a, a, field.poly)
+
+    def test_inv(self, field):
+        for a in _operands(field, 30, 3)[1:]:
+            b = field.inv(a)
+            assert 0 <= b < 1 << field.m
+            assert b == gf_inv_euclid(a, field.poly)
+
+    def test_field_polynomials_are_irreducible(self, field):
+        assert is_irreducible(field.poly)

@@ -246,6 +246,22 @@ class TestEddsaOnRegistryCurves:
             eddsa_sign(key, b"m")
 
 
+class TestOffCurvePublicKey:
+    # key files are checked on import, but a directly built EcKey is not
+    @pytest.mark.parametrize("name", ("p256", "k163"))
+    def test_verify_returns_false_before_any_scalar_multiplication(self, name, monkeypatch):
+        curve = get_curve(name)
+        key = EcKey(curve=curve, q=Point(1, 1))
+
+        def no_scalar_mul(*args):
+            raise AssertionError("scalar multiplication with an off-curve public key")
+
+        monkeypatch.setattr(ec_signatures, "scalar_mul", no_scalar_mul)
+        monkeypatch.setattr(ec_signatures, "mul_add", no_scalar_mul)
+        assert ecdsa_verify(key, b"m", EcdsaSignature(1, 1)) is False
+        assert eddsa_verify(key, b"m", EddsaSignature(curve.g, 5)) is False
+
+
 class TestEddsaKeyRecovery:
     def test_one_signature_and_its_message_reveal_the_private_scalar(self):
         # the paper's variant as specified: the nonce r = H(H(m) || m) ignores

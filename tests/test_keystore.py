@@ -95,6 +95,13 @@ class TestKeyRoundtrip:
         assert f"\nn: {digits}\n" in text
         assert parse_key(text) == ("rsa", key)
 
+    def test_key_past_the_largest_modulus_is_not_written(self):
+        # a 16384-bit n has 4,932 or 4,933 digits, which parse_key would refuse
+        n = (1 << 16383) | RngHandle(16384).getrandbits(16383) | 1
+        key = RsaKey(n=n, e=65537, modulus_bits=16384)
+        with pytest.raises(KeyFileError, match=r"line 4: field 'n' is too long \(493[23] digits, at most 4624\)"):
+            render_key("rsa", key, public_only=True)
+
     def test_cannot_export_private_from_public_key(self, keys, tmp_path):
         public = keys["eddsa"].public_only()
         with pytest.raises(MissingPrivateKeyError):
@@ -221,6 +228,10 @@ class TestSignatureFiles:
     def test_field_past_the_largest_modulus_is_refused(self):
         with pytest.raises(KeyFileError, match=r"field 's' is too long \(4625 digits"):
             parse_signature("sigforge-sig v1\nalgorithm: rsa\ns: " + "9" * 4625 + "\n")
+
+    def test_signature_past_the_largest_modulus_is_not_written(self):
+        with pytest.raises(KeyFileError, match=r"field 's' is too long \(4625 digits"):
+            render_signature("rsa", 10**4624)
 
     def test_render_parse_lossless(self):
         sig = EddsaSignature(Point(7, 9), 123)

@@ -11,7 +11,7 @@ from . import keystore
 from .bench import SUITES, emit_csv, run_bench
 from .cryptosystem import Cryptosystem, sign_message, verify_message
 from .curves import FORMS
-from .errors import KeyFileError, MissingPrivateKeyError, UnknownCurveError
+from .errors import KeyFileError
 from .numeric import RngHandle
 from .schemes import SCHEMES
 
@@ -124,12 +124,6 @@ def cli_main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except UnknownCurveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MissingPrivateKeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except KeyFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -12,7 +12,7 @@
 
 from . import keystore
 from .numeric import RngHandle
-from .schemes import SCHEMES, get_scheme
+from .schemes import get_scheme
 
 
 def generate_key(algorithm: str, rng: RngHandle, bits=None, curve=None):
@@ -38,8 +38,7 @@ class Cryptosystem:
 
     def __init__(self, algorithm, *, form=None, curve=None, bits=None, key_file=None, seed=None):
         algorithm = algorithm.lower()
-        if algorithm not in SCHEMES:
-            raise ValueError(f"unknown algorithm {algorithm!r}; choose from {tuple(SCHEMES)}")
+        scheme = get_scheme(algorithm)
         self.algorithm = algorithm
         self.rng = RngHandle(seed)
         if key_file is not None:
@@ -50,8 +49,8 @@ class Cryptosystem:
                 )
             self.key = key
         else:
-            self.key = generate_key(algorithm, self.rng, bits=bits, curve=curve)
-        if SCHEMES[algorithm].on_curve:
+            self.key = scheme.keygen(self.rng, bits, curve)
+        if scheme.on_curve:
             if curve is not None and self.key.curve.name != curve.lower():
                 raise ValueError(
                     f"key uses curve {self.key.curve.name!r}, not {curve!r}"

@@ -31,8 +31,6 @@ KOBLITZ = "koblitz"
 EDWARDS = "edwards"
 FORMS = (WEIERSTRASS, KOBLITZ, EDWARDS)
 
-PRIME_FORMS = (WEIERSTRASS, EDWARDS)
-
 
 class Point(NamedTuple):
     x: int

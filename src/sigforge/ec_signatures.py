@@ -20,6 +20,7 @@ from .curves import (
     is_neutral,
     is_on_curve,
     mul_add,
+    negate,
     order_bits,
     scalar_mul,
 )
@@ -77,8 +78,6 @@ def ecdsa_sign_digest(key: EcKey, hm: int, k_r: int) -> Optional[EcdsaSignature]
 
 def ecdsa_sign(key: EcKey, message: bytes, rng: RngHandle) -> EcdsaSignature:
     """Sign with a fresh random nonce per call; nonce reuse leaks the key."""
-    if key.ka is None:
-        raise MissingPrivateKeyError("ECDSA signing requires the private scalar")
     curve = key.curve
     alg = select_hash_for_order(order_bits(curve))
     hm = digest_to_int(message, alg, curve.n)
@@ -89,12 +88,15 @@ def ecdsa_sign(key: EcKey, message: bytes, rng: RngHandle) -> EcdsaSignature:
             return sig
 
 
+def _public_point_ok(key: EcKey) -> bool:
+    """The rule key files are held to on import: on the curve, not the neutral element."""
+    return is_on_curve(key.q, key.curve) and not is_neutral(key.q, key.curve)
+
+
 def ecdsa_verify_digest(key: EcKey, hm: int, sig: EcdsaSignature) -> bool:
     curve = key.curve
     r, s = sig
-    if not (0 < r < curve.n and 0 < s < curve.n):
-        return False
-    if not is_on_curve(key.q, curve):
+    if not (0 < r < curve.n and 0 < s < curve.n and _public_point_ok(key)):
         return False
     w = mod_inv(s, curve.n)
     total = mul_add(hm * w % curve.n, curve.g, r * w % curve.n, key.q, curve)
@@ -144,14 +146,16 @@ def eddsa_verify(key: EcKey, message: bytes, sig: EddsaSignature) -> bool:
     curve = key.curve
     big_r, s = sig
     # an honest s = r + h*ka is at most modulus*(n-1); the bound keeps the work
-    # of scalar_mul(s, G) independent of the size of a forged s
+    # of s*G independent of the size of a forged s
     if not 0 <= s < curve.n * eddsa_challenge_modulus(curve):
         return False
     if not isinstance(big_r, tuple) or len(big_r) != 2:
         return False
     big_r = Point(*big_r)
-    if not (is_on_curve(big_r, curve) and is_on_curve(key.q, curve)):
+    if not (is_on_curve(big_r, curve) and _public_point_ok(key)):
         return False
     alg = select_hash_for_order(order_bits(curve))
     h = eddsa_challenge(curve, big_r, key.q, message, alg)
-    return scalar_mul(s, curve.g, curve) == mul_add(1, big_r, h, key.q, curve)
+    # s*G - h*Q = R, one two-term product; -Q rather than (n - h)*Q, which
+    # equals -h*Q only when Q has no component outside the order-n subgroup
+    return mul_add(s, curve.g, h, negate(key.q, curve), curve) == big_r

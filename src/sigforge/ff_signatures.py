@@ -128,7 +128,7 @@ def dsa_paramgen(L: int, N: int, rng: RngHandle) -> DsaParams:
         p = q * t + 1
         if p.bit_length() != L:
             continue
-        if is_probable_prime(p, 40):
+        if is_probable_prime(p):
             break
     exp = (p - 1) // q
     h = 2
@@ -161,6 +161,8 @@ def dsa_sign_digest(key: DsaKey, hm: int, k: int) -> Optional[DsaSignature]:
 
 
 def dsa_sign(key: DsaKey, message: bytes, rng: RngHandle) -> DsaSignature:
+    # checked before hashing too: the hash rule refuses a modulus under 512 bits
+    # before the first draw would reach dsa_sign_digest's check
     if key.x is None:
         raise MissingPrivateKeyError("DSA signing requires the private exponent x")
     params = key.params

@@ -15,8 +15,6 @@ SHA256 = "sha256"
 SHA384 = "sha384"
 SHA512 = "sha512"
 
-HASH_ALGS = (SHA160, SHA224, SHA256, SHA384, SHA512)
-
 _CONSTRUCTORS = {
     SHA160: hashlib.sha1,
     SHA224: hashlib.sha224,

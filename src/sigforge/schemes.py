@@ -63,7 +63,7 @@ class Scheme:
 
 def get_scheme(algorithm: str) -> Scheme:
     if algorithm not in SCHEMES:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {tuple(SCHEMES)}")
     return SCHEMES[algorithm]
 
 
@@ -117,6 +117,8 @@ def _parse_ec_key(form, name, qx, qy, ka):
         curve = get_curve(name)
     except UnknownCurveError as exc:
         raise KeyFileError(f"field 'curve': {exc}") from exc
+    if name != curve.name:
+        raise KeyFileError(f"field 'curve': {name!r} is not written as {curve.name!r}")
     if form != curve.form:
         raise KeyFileError(f"field 'form': curve {curve.name!r} has form {curve.form!r}")
     public = Point(qx, qy)

@@ -18,7 +18,7 @@ from sigforge.ec_signatures import (
     eddsa_verify,
 )
 from sigforge.errors import MissingPrivateKeyError
-from sigforge.hashing import select_hash_for_order
+from sigforge.hashing import digest_to_int, select_hash_for_order
 from sigforge.numeric import RngHandle, mod_inv
 from sigforge.registry import get_curve
 
@@ -238,6 +238,7 @@ class TestEddsaOnRegistryCurves:
             raise AssertionError("scalar multiplication on an out-of-range s")
 
         monkeypatch.setattr(ec_signatures, "scalar_mul", no_scalar_mul)
+        monkeypatch.setattr(ec_signatures, "mul_add", no_scalar_mul)
         assert eddsa_verify(key, b"msg", forged) is False
 
     def test_public_only_cannot_sign(self):
@@ -260,6 +261,54 @@ class TestOffCurvePublicKey:
         monkeypatch.setattr(ec_signatures, "mul_add", no_scalar_mul)
         assert ecdsa_verify(key, b"m", EcdsaSignature(1, 1)) is False
         assert eddsa_verify(key, b"m", EddsaSignature(curve.g, 5)) is False
+
+    @pytest.mark.parametrize(
+        "name,neutral",
+        (("p256", None), ("k163", None), ("ed25519", Point(0, 1))),
+        ids=("p256", "k163", "ed25519"),
+    )
+    def test_neutral_public_key_rejects_keyless_forgeries(self, name, neutral, monkeypatch):
+        # with Q neutral both equations lose their key term: ECDSA's u1*G + u2*Q
+        # is k*G for s = hm / k, and EdDSA's s*G - h*Q = R holds for s = r
+        curve = get_curve(name)
+        key = EcKey(curve=curve, q=neutral)
+        message = b"signed by no one"
+        k = 12345
+        hm = digest_to_int(message, select_hash_for_order(curve.n.bit_length()), curve.n)
+        forged_ecdsa = EcdsaSignature(
+            scalar_mul(k, curve.g, curve).x % curve.n, hm * mod_inv(k, curve.n) % curve.n
+        )
+        forged_eddsa = EddsaSignature(scalar_mul(k, curve.g, curve), k)
+
+        def no_scalar_mul(*args):
+            raise AssertionError("scalar multiplication with the neutral public key")
+
+        monkeypatch.setattr(ec_signatures, "scalar_mul", no_scalar_mul)
+        monkeypatch.setattr(ec_signatures, "mul_add", no_scalar_mul)
+        assert ecdsa_verify(key, message, forged_ecdsa) is False
+        assert eddsa_verify(key, message, forged_eddsa) is False
+        assert eddsa_verify(key, message, EddsaSignature(curve.g, 5)) is False
+
+
+class TestEddsaTorsionComponent:
+    def test_verdict_follows_the_parity_of_the_challenge(self):
+        # Q' = Q + T with T = (0, -1) of order 2 is on the curve but outside the
+        # order-n subgroup, and key files are not checked for that.  An honest
+        # signature under Q' satisfies s*G - h*Q' = R - h*T, so it verifies
+        # exactly when h is even; computing -h*Q' as (n - h)*Q' would flip that
+        curve = get_curve("ed25519")
+        seeded = ec_keygen(curve, RngHandle(62))
+        torsion = Point(0, curve.field - 1)
+        key = EcKey(curve=curve, q=point_add(seeded.q, torsion, curve), ka=seeded.ka)
+        alg = select_hash_for_order(curve.n.bit_length())
+        parities = set()
+        for i in range(16):
+            message = b"torsion %d" % i
+            sig = eddsa_sign(key, message)
+            h = eddsa_challenge(curve, sig.R, key.q, message, alg)
+            parities.add(h % 2)
+            assert eddsa_verify(key, message, sig) == (h % 2 == 0)
+        assert parities == {0, 1}
 
 
 class TestEddsaKeyRecovery:

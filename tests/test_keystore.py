@@ -1,8 +1,16 @@
 import decimal
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sigforge.ec_signatures import EcdsaSignature, EddsaSignature, ec_keygen, eddsa_sign
+from sigforge.ec_signatures import (
+    EcdsaSignature,
+    EddsaSignature,
+    ec_keygen,
+    ecdsa_sign,
+    eddsa_sign,
+)
 from sigforge.curves import Point, is_on_curve
 from sigforge.errors import KeyFileError, MissingPrivateKeyError
 from sigforge.ff_signatures import (
@@ -10,9 +18,12 @@ from sigforge.ff_signatures import (
     RsaKey,
     dsa_keygen,
     dsa_paramgen,
+    dsa_sign,
     rsa_keygen,
+    rsa_sign,
 )
 from sigforge.keystore import (
+    MAX_FIELD_DIGITS,
     export_key,
     export_signature,
     import_key,
@@ -119,6 +130,13 @@ class TestKeyValidation:
 
     def test_unknown_curve(self, keys):
         text = render_key("eddsa", keys["eddsa"]).replace("ed25519", "ed25520")
+        with pytest.raises(KeyFileError, match="curve"):
+            parse_key(text)
+
+    @pytest.mark.parametrize("written", ("SECP192K1", "Secp192k1", "secp192\u212a1"))
+    def test_curve_name_must_be_written_as_rendered(self, keys, written):
+        # the lookup folds case, and the Kelvin sign lowers to an ASCII "k"
+        text = render_key("ecdsa", keys["ecdsa"]).replace("secp192k1", written)
         with pytest.raises(KeyFileError, match="curve"):
             parse_key(text)
 
@@ -258,3 +276,88 @@ class TestMutationFuzz:
             except (KeyFileError, UnicodeDecodeError):
                 continue
             assert render_key(algorithm2, key2, public_only=public) == original
+
+
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+FUZZED_FILES = [(kind, alg) for kind in ("key", "sig") for alg in ("rsa", "dsa", "ecdsa", "eddsa")]
+
+
+@pytest.fixture(scope="module")
+def seeded_files(keys):
+    """Seeded public key files and signature files of all four algorithms."""
+    rng = RngHandle(303)
+    message = b"fuzzed message"
+    sigs = {
+        "rsa": rsa_sign(keys["rsa"], message),
+        "dsa": dsa_sign(keys["dsa"], message, rng),
+        "ecdsa": ecdsa_sign(keys["ecdsa"], message, rng),
+        "eddsa": eddsa_sign(keys["eddsa"], message),
+    }
+    files = {}
+    for alg, sig in sigs.items():
+        files["key", alg] = render_key(alg, keys[alg], public_only=True)
+        files["sig", alg] = render_signature(alg, sig)
+    return files
+
+
+def parse_and_render(kind, text):
+    if kind == "key":
+        algorithm, key = parse_key(text)
+        return render_key(algorithm, key, public_only=not key.has_private)
+    return render_signature(*parse_signature(text))
+
+
+@pytest.mark.parametrize("kind,algorithm", FUZZED_FILES)
+class TestPropertyFuzz:
+    """Hostile text is refused with KeyFileError, or it is exactly the text
+    its parsed value renders to: nothing is accepted in a non-canonical form."""
+
+    @FUZZ
+    @given(position=st.integers(0, 10**4), byte=st.integers(0, 255))
+    def test_single_byte_mutation(self, seeded_files, kind, algorithm, position, byte):
+        raw = bytearray(seeded_files[kind, algorithm].encode())
+        raw[position % len(raw)] = byte
+        # one character per byte, so the parser sees every byte value (a file
+        # read from disk is decoded as UTF-8 first, which refuses bytes >= 0x80 here)
+        text = raw.decode("latin-1")
+        try:
+            rendered = parse_and_render(kind, text)
+        except KeyFileError:
+            return
+        assert rendered == text
+
+    @FUZZ
+    @given(
+        line=st.integers(0, 100),
+        position=st.integers(0, 10**4),
+        char=st.characters(min_codepoint=0x80),
+        replace=st.booleans(),
+    )
+    def test_non_ascii_character_in_a_value(
+        self, seeded_files, kind, algorithm, line, position, char, replace
+    ):
+        lines = seeded_files[kind, algorithm].split("\n")
+        index = 1 + line % (len(lines) - 2)  # not the header or the empty tail
+        name, _, value = lines[index].partition(": ")
+        at = position % (len(value) + 1)
+        lines[index] = f"{name}: {value[:at]}{char}{value[at + replace:]}"
+        # every rendered file is ASCII, so no such text can be canonical
+        with pytest.raises(KeyFileError):
+            parse_and_render(kind, "\n".join(lines))
+
+    @FUZZ
+    @given(
+        line=st.integers(0, 100),
+        digits=st.integers(MAX_FIELD_DIGITS + 1, 3 * MAX_FIELD_DIGITS),
+        seed=st.integers(0, 2**32),
+    )
+    def test_oversized_integer_field(self, seeded_files, kind, algorithm, line, digits, seed):
+        lines = seeded_files[kind, algorithm].split("\n")
+        numeric = [i for i, text in enumerate(lines) if text.partition(": ")[2].isdigit()]
+        index = numeric[line % len(numeric)]
+        name = lines[index].partition(": ")[0]
+        rnd = random.Random(seed)
+        value = str(rnd.randint(1, 9)) + "".join(rnd.choices("0123456789", k=digits - 1))
+        lines[index] = f"{name}: {value}"
+        with pytest.raises(KeyFileError, match="too long"):
+            parse_and_render(kind, "\n".join(lines))

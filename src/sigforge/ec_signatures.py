@@ -88,6 +88,11 @@ def ecdsa_sign(key: EcKey, message: bytes, rng: RngHandle) -> EcdsaSignature:
             return sig
 
 
+def _ints(*parts) -> bool:
+    """Whether every signature part is an int; a caller can pass anything."""
+    return all(isinstance(part, int) for part in parts)
+
+
 def _public_point_ok(key: EcKey) -> bool:
     """The rule key files are held to on import: on the curve, not the neutral element."""
     return is_on_curve(key.q, key.curve) and not is_neutral(key.q, key.curve)
@@ -96,7 +101,7 @@ def _public_point_ok(key: EcKey) -> bool:
 def ecdsa_verify_digest(key: EcKey, hm: int, sig: EcdsaSignature) -> bool:
     curve = key.curve
     r, s = sig
-    if not (0 < r < curve.n and 0 < s < curve.n and _public_point_ok(key)):
+    if not (_ints(r, s) and 0 < r < curve.n and 0 < s < curve.n and _public_point_ok(key)):
         return False
     w = mod_inv(s, curve.n)
     total = mul_add(hm * w % curve.n, curve.g, r * w % curve.n, key.q, curve)
@@ -147,9 +152,9 @@ def eddsa_verify(key: EcKey, message: bytes, sig: EddsaSignature) -> bool:
     big_r, s = sig
     # an honest s = r + h*ka is at most modulus*(n-1); the bound keeps the work
     # of s*G independent of the size of a forged s
-    if not 0 <= s < curve.n * eddsa_challenge_modulus(curve):
+    if not (_ints(s) and 0 <= s < curve.n * eddsa_challenge_modulus(curve)):
         return False
-    if not isinstance(big_r, tuple) or len(big_r) != 2:
+    if not (isinstance(big_r, tuple) and len(big_r) == 2 and _ints(*big_r)):
         return False
     big_r = Point(*big_r)
     if not (is_on_curve(big_r, curve) and _public_point_ok(key)):

@@ -15,3 +15,8 @@ class MissingPrivateKeyError(ValueError):
 
 class KeyFileError(ValueError):
     """Raised when a key or signature file cannot be parsed or validated."""
+
+
+class SignatureCheckError(ValueError):
+    """Raised when a freshly computed signature fails its own check, as a
+    faulty computation would make it; the signature is not returned."""

@@ -1,7 +1,9 @@
 """Finite-field signature schemes: textbook RSA and DSA.
 
 RSA signs the bare digest integer (no padding scheme) and is therefore a
-faithful textbook construction, not a production-hardened one.  DSA follows
+faithful textbook construction, not a production-hardened one.  It signs by
+the Chinese remainder theorem over the two primes of n and checks every
+signature against e before returning it.  DSA follows
 the classic (r, s) construction over a prime-order subgroup of Z_p*.
 
 The ``*_sign_digest`` / ``*_verify_digest`` variants take the already-reduced
@@ -10,22 +12,89 @@ digest integer (and, for DSA, the nonce) directly; the plain ``sign``/
 algorithm first.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .errors import MissingPrivateKeyError, NotInvertibleError
+from .errors import MissingPrivateKeyError, NotInvertibleError, SignatureCheckError
 from .hashing import digest_to_int, select_hash_for_modulus
-from .numeric import RngHandle, gen_prime, is_probable_prime, mod_exp, mod_inv, rand_below
+from .numeric import (
+    RngHandle,
+    gen_prime,
+    is_probable_prime,
+    mod_exp,
+    mod_inv,
+    rand_below,
+    random_candidate_rounds,
+)
 
 RSA_PUBLIC_EXPONENT = 65537
+
+# Bases tried when factoring n from e and d: the 25 primes below 100.  A
+# random base splits a two-prime n with probability at least 1/2 (HAC 8.2.2),
+# so if these act as random bases, all of them fail, and a valid key is
+# refused, on about one key in 2^25.  A consistent-looking key that is not
+# two-prime, such as a prime n, costs one exponentiation per base.
+_FACTORING_BASES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
+)
+
+
+def rsa_factor_modulus(n: int, e: int, d: int):
+    """(p, q) with p*q = n, found from e*d - 1 (HAC 8.2.2).
+
+    Writes e*d - 1 = 2^t * r with r odd and, for each base g, squares
+    g^r mod n up to t times, looking for a square root of 1 other than +-1.
+    Raises ValueError when some base has g^(e*d - 1) != 1 (mod n), so d does
+    not invert e, or when no base splits n, as on a prime n.
+    """
+    k = e * d - 1
+    t = (k & -k).bit_length() - 1
+    r = k >> t
+    for g in _FACTORING_BASES:
+        x = mod_exp(g, r, n)
+        if x == 1:
+            continue
+        for _ in range(t):
+            y = x * x % n
+            if y == 1:
+                break
+            x = y
+        else:
+            raise ValueError("d does not invert e modulo n")
+        if x != n - 1:
+            p = math.gcd(x - 1, n)
+            return p, n // p
+    raise ValueError("n does not split into two factors from e and d")
 
 
 @dataclass(frozen=True)
 class RsaKey:
+    """An RSA key; ``d`` is None on a public key.
+
+    A private key also holds the primes of n and its CRT values.  Key
+    generation passes p and q in; otherwise they are found from (n, e, d)
+    when the key is built, which raises ValueError if that fails.  They are
+    derived from n, e and d, so they take no part in comparisons.
+    """
+
     n: int
     e: int
     modulus_bits: int
     d: Optional[int] = None
+    p: Optional[int] = field(default=None, compare=False, repr=False)
+    q: Optional[int] = field(default=None, compare=False, repr=False)
+    dp: Optional[int] = field(default=None, init=False, compare=False, repr=False)
+    dq: Optional[int] = field(default=None, init=False, compare=False, repr=False)
+    q_inv: Optional[int] = field(default=None, init=False, compare=False, repr=False)  # q^-1 mod p
+
+    def __post_init__(self):
+        if self.d is None:
+            return
+        p, q = (self.p, self.q) if self.p is not None else rsa_factor_modulus(self.n, self.e, self.d)
+        crt = dict(p=p, q=q, dp=self.d % (p - 1), dq=self.d % (q - 1), q_inv=mod_inv(q, p))
+        for name, value in crt.items():
+            object.__setattr__(self, name, value)
 
     @property
     def has_private(self) -> bool:
@@ -82,13 +151,25 @@ def rsa_keygen(modulus_bits: int, rng: RngHandle) -> RsaKey:
             d = mod_inv(e, phi)
         except NotInvertibleError:
             continue
-        return RsaKey(n=n, e=e, d=d, modulus_bits=modulus_bits)
+        return RsaKey(n=n, e=e, d=d, modulus_bits=modulus_bits, p=p, q=q)
 
 
 def rsa_sign_digest(key: RsaKey, hm: int) -> int:
+    """hm^d mod n, computed mod p and mod q and recombined (Garner).
+
+    The result is checked against e before it is returned: a wrong half
+    would reveal a factor of n (Boneh-DeMillo-Lipton), so a mismatch raises
+    SignatureCheckError and no signature leaves.
+    """
     if key.d is None:
         raise MissingPrivateKeyError("RSA signing requires the private exponent d")
-    return mod_exp(hm, key.d, key.n)
+    hm %= key.n
+    s_p = mod_exp(hm, key.dp, key.p)
+    s_q = mod_exp(hm, key.dq, key.q)
+    s = s_q + key.q * ((s_p - s_q) * key.q_inv % key.p)
+    if mod_exp(s, key.e, key.n) != hm:
+        raise SignatureCheckError("RSA signature failed its check against e; it was withheld")
+    return s
 
 
 def rsa_sign(key: RsaKey, message: bytes) -> int:
@@ -97,7 +178,7 @@ def rsa_sign(key: RsaKey, message: bytes) -> int:
 
 
 def rsa_verify_digest(key: RsaKey, hm: int, signature: int) -> bool:
-    if not 0 <= signature < key.n:
+    if not (isinstance(signature, int) and 0 <= signature < key.n):
         return False
     return mod_exp(signature, key.e, key.n) == hm
 
@@ -121,6 +202,7 @@ def dsa_paramgen(L: int, N: int, rng: RngHandle) -> DsaParams:
     q = gen_prime(N, rng)
     t_lo = ((1 << (L - 1)) - 1) // q + 1
     t_hi = ((1 << L) - 2) // q
+    rounds = random_candidate_rounds(L)
     while True:
         t = t_lo + rand_below(t_hi - t_lo + 2, rng) - 1
         if t % 2:
@@ -128,7 +210,7 @@ def dsa_paramgen(L: int, N: int, rng: RngHandle) -> DsaParams:
         p = q * t + 1
         if p.bit_length() != L:
             continue
-        if is_probable_prime(p):
+        if is_probable_prime(p, rounds):
             break
     exp = (p - 1) // q
     h = 2
@@ -178,7 +260,7 @@ def dsa_sign(key: DsaKey, message: bytes, rng: RngHandle) -> DsaSignature:
 def dsa_verify_digest(key: DsaKey, hm: int, sig: DsaSignature) -> bool:
     p, q, g = key.params.p, key.params.q, key.params.g
     r, s = sig
-    if not (0 < r < q and 0 < s < q):
+    if not (isinstance(r, int) and isinstance(s, int) and 0 < r < q and 0 < s < q):
         return False
     w = mod_inv(s, q)
     u1 = hm * w % q

@@ -36,6 +36,7 @@ from .ff_signatures import (
     dsa_verify,
     rsa_keygen,
     rsa_sign,
+    rsa_sign_digest,
     rsa_verify,
 )
 from .hashing import digest_bits, select_hash_for_modulus, select_hash_for_order
@@ -80,24 +81,38 @@ def _dsa_keygen(rng, bits, curve):
 # --- key file validators ------------------------------------------------------
 
 
+def _check_modulus_size(name, modulus):
+    """Refuse a modulus that the hash rule, and so every sign and verify, refuses."""
+    try:
+        select_hash_for_modulus(modulus.bit_length())
+    except ValueError as exc:
+        raise KeyFileError(f"field {name!r}: {exc}") from None
+
+
 def _parse_rsa_key(n, e, d):
     if n < 3 or n % 2 == 0:
         raise KeyFileError("field 'n' is not a valid RSA modulus")
+    _check_modulus_size("n", n)
     if not (2 < e < n) or e % 2 == 0:
         raise KeyFileError("field 'e' is out of range")
-    if d is not None:
-        if not 0 < d < n:
-            raise KeyFileError("field 'd' is out of range")
-        # private material must invert the public exponent
-        for probe in (2, 3):
-            if mod_exp(mod_exp(probe, d, n), e, n) != probe % n:
-                raise KeyFileError("fields 'n', 'e', 'd' are not a consistent RSA key")
-    return RsaKey(n=n, e=e, d=d, modulus_bits=n.bit_length())
+    if d is not None and not 0 < d < n:
+        raise KeyFileError("field 'd' is out of range")
+    try:
+        # building a private key factors n from e and d; each probe signature
+        # is then checked against e by the signer itself
+        key = RsaKey(n=n, e=e, d=d, modulus_bits=n.bit_length())
+        if d is not None:
+            for probe in (2, 3):
+                rsa_sign_digest(key, probe)
+    except ValueError:
+        raise KeyFileError("fields 'n', 'e', 'd' are not a consistent RSA key") from None
+    return key
 
 
 def _parse_dsa_key(p, q, g, y, x):
     if not 2 < q < p:
         raise KeyFileError("fields 'p', 'q' are out of range")
+    _check_modulus_size("p", p)
     if (p - 1) % q != 0:
         raise KeyFileError("field 'q' does not divide p - 1")
     if not 2 <= g < p - 1 or mod_exp(g, q, p) != 1:

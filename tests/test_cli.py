@@ -124,6 +124,20 @@ class TestIoErrors:
         rc = cli_main(["verify", "--key", str(pub), "--in", str(message_file), "--sig", str(sig)])
         assert rc == EXIT_IO
 
+    @pytest.mark.parametrize(
+        "key,sig",
+        (
+            ("algorithm: rsa\ntype: public\nn: 3233\ne: 17\n", "algorithm: rsa\ns: 5\n"),
+            ("algorithm: dsa\ntype: public\np: 23\nq: 11\ng: 4\ny: 18\n", "algorithm: dsa\nr: 8\ns: 1\n"),
+        ),
+    )
+    def test_modulus_under_512_bits(self, tmp_path, message_file, capsys, key, sig):
+        (tmp_path / "pub.txt").write_text("sigforge-key v1\n" + key)
+        (tmp_path / "msg.sig").write_text("sigforge-sig v1\n" + sig)
+        rc = cli_main(["verify", "--key", str(tmp_path / "pub.txt"), "--in", str(message_file), "--sig", str(tmp_path / "msg.sig")])
+        assert rc == EXIT_IO
+        assert "too small" in capsys.readouterr().err
+
     def test_missing_key_file(self, tmp_path, message_file):
         rc = cli_main(["verify", "--key", str(tmp_path / "nope"), "--in", str(message_file), "--sig", str(tmp_path / "s")])
         assert rc == EXIT_IO

@@ -1,6 +1,9 @@
+import copy
+
 import pytest
 
-from sigforge.errors import MissingPrivateKeyError
+import sigforge.ff_signatures as ff_module
+from sigforge.errors import MissingPrivateKeyError, SignatureCheckError
 from sigforge.ff_signatures import (
     DsaKey,
     DsaParams,
@@ -12,13 +15,14 @@ from sigforge.ff_signatures import (
     dsa_sign_digest,
     dsa_verify,
     dsa_verify_digest,
+    rsa_factor_modulus,
     rsa_keygen,
     rsa_sign,
     rsa_sign_digest,
     rsa_verify,
     rsa_verify_digest,
 )
-from sigforge.numeric import RngHandle, is_probable_prime, mod_exp, mod_inv, rand_below
+from sigforge.numeric import RngHandle, gen_prime, is_probable_prime, mod_exp, mod_inv, rand_below
 
 # p=61, q=53 -> n=3233, phi=3120, e=17, d=2753
 TOY_RSA = RsaKey(n=3233, e=17, modulus_bits=12, d=2753)
@@ -104,6 +108,61 @@ class TestRsaSignVerify:
             rsa_sign_digest(TOY_RSA.public_only(), 65)
 
 
+class TestRsaCrt:
+    def test_toy_key_factored_from_e_and_d(self):
+        assert {TOY_RSA.p, TOY_RSA.q} == {61, 53}
+        assert sorted(rsa_factor_modulus(3233, 17, 2753)) == [53, 61]
+
+    def test_every_toy_digest_matches_the_plain_exponentiation(self):
+        for hm in range(3233):
+            assert rsa_sign_digest(TOY_RSA, hm) == mod_exp(hm, 2753, 3233), hm
+
+    def test_factored_key_equals_the_generated_one(self):
+        key = rsa_keygen(512, RngHandle(33))
+        rebuilt = RsaKey(n=key.n, e=key.e, modulus_bits=512, d=key.d)
+        assert rebuilt == key
+        assert {rebuilt.p, rebuilt.q} == {key.p, key.q}
+        rng = RngHandle(34)
+        for _ in range(20):
+            hm = rand_below(key.n, rng)
+            s = rsa_sign_digest(rebuilt, hm)
+            assert s == rsa_sign_digest(key, hm) == mod_exp(hm, key.d, key.n)
+
+    def test_prime_modulus_does_not_split(self):
+        n = gen_prime(512, RngHandle(35))
+        e = 65537
+        with pytest.raises(ValueError, match="does not split"):
+            rsa_factor_modulus(n, e, mod_inv(e, n - 1))
+
+    def test_wrong_private_exponent_is_refused(self):
+        key = rsa_keygen(512, RngHandle(36))
+        with pytest.raises(ValueError, match="does not invert"):
+            RsaKey(n=key.n, e=key.e, modulus_bits=512, d=key.d + 2)
+
+    @pytest.mark.parametrize("half", ("dp", "dq", "q_inv"))
+    def test_corrupted_crt_value_raises(self, half):
+        key = rsa_keygen(512, RngHandle(37))
+        faulty = copy.copy(key)
+        object.__setattr__(faulty, half, getattr(key, half) + 1)
+        with pytest.raises(SignatureCheckError):
+            rsa_sign_digest(faulty, 65)
+        with pytest.raises(SignatureCheckError):
+            rsa_sign(faulty, b"hello")
+
+    @pytest.mark.parametrize("prime", ("p", "q"))
+    def test_faulty_half_exponentiation_never_returns_a_signature(self, monkeypatch, prime):
+        key = rsa_keygen(512, RngHandle(38))
+        modulus = getattr(key, prime)
+
+        def faulty_mod_exp(base, exponent, m):
+            result = mod_exp(base, exponent, m)
+            return result ^ 1 if m == modulus else result
+
+        monkeypatch.setattr(ff_module, "mod_exp", faulty_mod_exp)
+        with pytest.raises(SignatureCheckError):
+            rsa_sign(key, b"hello")
+
+
 class TestDsaParamgen:
     def test_toy_divisibility(self):
         assert (TOY_DSA_PARAMS.p - 1) % TOY_DSA_PARAMS.q == 0
@@ -125,6 +184,18 @@ class TestDsaParamgen:
 
     def test_seeded_reproducibility(self):
         assert dsa_paramgen(96, 32, RngHandle(11)) == dsa_paramgen(96, 32, RngHandle(11))
+
+    def test_p_search_uses_the_random_candidate_schedule(self, monkeypatch):
+        seen = set()
+
+        def spy(n, rounds):
+            seen.add(rounds)
+            return is_probable_prime(n, rounds)
+
+        monkeypatch.setattr(ff_module, "is_probable_prime", spy)
+        params = dsa_paramgen(1024, 160, RngHandle(20))
+        assert seen == {5}
+        assert is_probable_prime(params.p, 40)
 
     def test_size_validation(self):
         with pytest.raises(ValueError):

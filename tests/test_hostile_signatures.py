@@ -1,0 +1,123 @@
+"""Verify on hostile signature values: any ints, huge or negative, and any
+non-ints in place of a signature part give a bool, within bounded time, on
+all four algorithms."""
+
+import time
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sigforge.cryptosystem import generate_key, sign_message, verify_message
+from sigforge.curves import Point
+from sigforge.ec_signatures import EcdsaSignature, EddsaSignature
+from sigforge.ff_signatures import DsaSignature
+from sigforge.numeric import RngHandle
+
+MESSAGE = b"hostile signature message"
+
+# far above any honest verify on these keys (milliseconds), far below the
+# seconds that a scalar multiplication or exponentiation by an unbounded
+# 2^16-bit part would take
+TIME_BOUND_S = 1.0
+
+HOSTILE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+INTS = st.one_of(
+    st.integers(),
+    st.integers(-(2**600), 2**600),
+    st.integers(-(2**65536), 2**65536),
+)
+NON_INTS = st.one_of(
+    st.none(),
+    st.floats(allow_nan=True),
+    st.text(max_size=8),
+    st.binary(max_size=8),
+    st.tuples(st.integers(), st.integers()),
+    st.lists(st.integers(), max_size=3),
+    st.decimals(allow_nan=False, allow_infinity=False),
+)
+PARTS = st.one_of(INTS, NON_INTS)
+
+KEYS = {
+    "rsa": dict(bits=512),
+    "dsa": dict(bits=512),
+    "ecdsa": dict(curve="p256"),
+    "eddsa": dict(curve="ed25519"),
+}
+
+
+@pytest.fixture(scope="module")
+def signed():
+    """{algorithm: (key, a valid signature of MESSAGE)}."""
+    out = {}
+    for i, (algorithm, kwargs) in enumerate(KEYS.items()):
+        key = generate_key(algorithm, RngHandle(6100 + i), **kwargs)
+        out[algorithm] = key, sign_message(algorithm, key, MESSAGE, RngHandle(6200 + i))
+    return out
+
+
+def assert_bool_in_bounded_time(algorithm, key, sig):
+    start = time.monotonic()
+    result = verify_message(algorithm, key, MESSAGE, sig)
+    elapsed = time.monotonic() - start
+    assert isinstance(result, bool), (sig, result)
+    assert elapsed < TIME_BOUND_S, (sig, elapsed)
+    return result
+
+
+@HOSTILE
+@given(s=PARTS)
+def test_rsa(signed, s):
+    assert_bool_in_bounded_time("rsa", signed["rsa"][0], s)
+
+
+@HOSTILE
+@given(r=PARTS, s=PARTS, keep=st.sampled_from(("r", "s", None)))
+def test_dsa(signed, r, s, keep):
+    key, good = signed["dsa"]
+    sig = DsaSignature(good.r if keep == "r" else r, good.s if keep == "s" else s)
+    assert_bool_in_bounded_time("dsa", key, sig)
+
+
+@HOSTILE
+@given(r=PARTS, s=PARTS, keep=st.sampled_from(("r", "s", None)))
+def test_ecdsa(signed, r, s, keep):
+    key, good = signed["ecdsa"]
+    sig = EcdsaSignature(good.r if keep == "r" else r, good.s if keep == "s" else s)
+    assert_bool_in_bounded_time("ecdsa", key, sig)
+
+
+@HOSTILE
+@given(
+    rx=PARTS,
+    ry=PARTS,
+    s=PARTS,
+    keep=st.sampled_from(("R", "s", None)),
+    as_point=st.booleans(),
+)
+def test_eddsa(signed, rx, ry, s, keep, as_point):
+    key, good = signed["eddsa"]
+    big_r = good.R if keep == "R" else (Point(rx, ry) if as_point else (rx, ry))
+    sig = EddsaSignature(big_r, good.s if keep == "s" else s)
+    assert_bool_in_bounded_time("eddsa", key, sig)
+
+
+@pytest.mark.parametrize(
+    "algorithm,make",
+    (
+        ("rsa", lambda good: 5.0),
+        ("rsa", lambda good: float(good)),
+        ("dsa", lambda good: DsaSignature(float(good.r), good.s)),
+        ("dsa", lambda good: DsaSignature(good.r, "1")),
+        ("ecdsa", lambda good: EcdsaSignature(1.0, 2)),
+        ("ecdsa", lambda good: EcdsaSignature(good.r, (1, 2))),
+        ("eddsa", lambda good: EddsaSignature(("a", "b"), 5)),
+        ("eddsa", lambda good: EddsaSignature(good.R, 5.0)),
+        ("eddsa", lambda good: EddsaSignature(good.R, float(good.s))),
+        ("eddsa", lambda good: EddsaSignature(Point(float(good.R.x), good.R.y), good.s)),
+    ),
+)
+def test_non_int_parts_are_invalid(signed, algorithm, make):
+    key, good = signed[algorithm]
+    assert assert_bool_in_bounded_time(algorithm, key, good) is True
+    assert assert_bool_in_bounded_time(algorithm, key, make(good)) is False

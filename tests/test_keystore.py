@@ -1,4 +1,5 @@
 import decimal
+import math
 import random
 
 import pytest
@@ -33,7 +34,7 @@ from sigforge.keystore import (
     render_key,
     render_signature,
 )
-from sigforge.numeric import RngHandle
+from sigforge.numeric import RngHandle, gen_prime, mod_inv
 from sigforge.registry import get_curve
 
 
@@ -164,6 +165,39 @@ class TestKeyValidation:
         text = render_key("rsa", key)
         text = text.replace(f"d: {key.d}", f"d: {key.d + 2}")
         with pytest.raises(KeyFileError, match="consistent"):
+            parse_key(text)
+
+    def test_rsa_key_on_a_prime_modulus_rejected(self):
+        # d inverts e modulo n - 1, so m^(e*d) = m (mod n) for every m, but n
+        # is not a product of two primes
+        n = gen_prime(1024, RngHandle(104))
+        d = mod_inv(65537, n - 1)
+        text = f"sigforge-key v1\nalgorithm: rsa\ntype: private\nn: {n}\ne: 65537\nd: {d}\n"
+        with pytest.raises(KeyFileError, match="not a consistent RSA key"):
+            parse_key(text)
+
+    def test_rsa_key_on_three_primes_rejected(self):
+        # d inverts e modulo lcm(p-1, q-1, r-1), so m^(e*d) = m (mod n) for
+        # every m; n splits, but one part is composite and its CRT value wrong
+        rng = RngHandle(105)
+        p, q, r = (gen_prime(192, rng) for _ in range(3))
+        n = p * q * r
+        d = mod_inv(65537, math.lcm(p - 1, q - 1, r - 1))
+        text = f"sigforge-key v1\nalgorithm: rsa\ntype: private\nn: {n}\ne: 65537\nd: {d}\n"
+        with pytest.raises(KeyFileError, match="not a consistent RSA key"):
+            parse_key(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        (
+            "sigforge-key v1\nalgorithm: rsa\ntype: public\nn: 3233\ne: 17\n",
+            "sigforge-key v1\nalgorithm: rsa\ntype: private\nn: 3233\ne: 17\nd: 2753\n",
+            "sigforge-key v1\nalgorithm: dsa\ntype: public\np: 23\nq: 11\ng: 4\ny: 18\n",
+            "sigforge-key v1\nalgorithm: dsa\ntype: private\np: 23\nq: 11\ng: 4\ny: 18\nx: 3\n",
+        ),
+    )
+    def test_modulus_under_512_bits_rejected(self, text):
+        with pytest.raises(KeyFileError, match="too small"):
             parse_key(text)
 
     def test_dsa_invariants_enforced(self, keys):

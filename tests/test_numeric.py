@@ -1,7 +1,17 @@
 import pytest
 
+import sigforge.numeric as numeric
 from sigforge.errors import NotInvertibleError
-from sigforge.numeric import RngHandle, gen_prime, is_probable_prime, mod_exp, mod_inv, rand_below
+from sigforge.numeric import (
+    MILLER_RABIN_ROUNDS,
+    RngHandle,
+    gen_prime,
+    is_probable_prime,
+    mod_exp,
+    mod_inv,
+    rand_below,
+    random_candidate_rounds,
+)
 
 from oracles import brute_mod_inv, naive_mod_exp, trial_division_is_prime
 
@@ -114,10 +124,40 @@ class TestIsProbablePrime:
         # 561 = 3*11*17 fools plain Fermat tests
         assert not is_probable_prime(561, 20)
         assert not trial_division_is_prime(561)
+        # 17257 * 34513 * 51769 is one too (Chernick's 6k+1, 12k+1, 18k+1 at
+        # k = 2876), with every factor above the trial-division bound 2^14
+        chernick = 17257 * 34513 * 51769
+        assert mod_exp(2, chernick - 1, chernick) == 1
+        for n in (1105, 1729, 2465, 2821, 6601, 8911, chernick):
+            assert not is_probable_prime(n, 10), n
 
     def test_agrees_with_trial_division(self):
-        for n in range(2, 3000):
-            assert is_probable_prime(n, 10) == trial_division_is_prime(n)
+        # spans the trial-division bound 2^14 on both sides
+        for n in range(-2, 1 << 17):
+            assert is_probable_prime(n, 10) == trial_division_is_prime(n), n
+
+    def test_products_of_primes_just_above_the_trial_division_bound(self):
+        # no factor below 2^14, and past 2^28, so only Miller-Rabin rejects them
+        primes = (16411, 16417, 16421, 16427)
+        for p in primes:
+            assert is_probable_prime(p, 10)
+            for q in primes:
+                assert not is_probable_prime(p * q, 10), (p, q)
+
+    def test_square_of_the_largest_prime_below_the_bound(self):
+        # 16381^2 < 2^28: trial division alone must reject it
+        assert 16381**2 < 1 << 28
+        assert not is_probable_prime(16381**2, 10)
+
+    def test_strong_base_2_pseudoprime_rejected(self):
+        # 3215031751 = 151 * 751 * 28351 passes the strong test to bases 2, 3, 5, 7
+        n = 3215031751
+        d, r = (n - 1) >> 1, 1
+        while d % 2 == 0:
+            d, r = d >> 1, r + 1
+        x = mod_exp(2, d, n)
+        assert x == 1 or any(mod_exp(x, 1 << i, n) == n - 1 for i in range(r))
+        assert not is_probable_prime(n, 10)
 
     def test_large_known_values(self):
         assert is_probable_prime((1 << 255) - 19, 40)
@@ -126,6 +166,36 @@ class TestIsProbablePrime:
     def test_rounds_validated(self):
         with pytest.raises(ValueError):
             is_probable_prime(97, 0)
+
+
+class TestRandomCandidateRounds:
+    def test_table_values(self):
+        # HAC Table 4.4 at 2^-80, with a floor of five rounds
+        expected = {100: 27, 149: 27, 150: 18, 160: 18, 224: 15, 256: 12, 300: 9, 512: 6, 550: 5, 1024: 5, 4096: 5}
+        for bits, rounds in expected.items():
+            assert random_candidate_rounds(bits) == rounds, bits
+
+    def test_below_the_table_uses_the_default(self):
+        assert random_candidate_rounds(99) == MILLER_RABIN_ROUNDS
+        assert random_candidate_rounds(8) == MILLER_RABIN_ROUNDS
+
+    def test_gen_prime_tests_candidates_with_the_schedule(self, monkeypatch):
+        seen = set()
+
+        def spy(n, rounds=MILLER_RABIN_ROUNDS):
+            seen.add(rounds)
+            return is_probable_prime(n, rounds)
+
+        monkeypatch.setattr(numeric, "is_probable_prime", spy)
+        for bits, rounds in ((160, 18), (512, 6), (1024, 5)):
+            seen.clear()
+            gen_prime(bits, RngHandle(bits))
+            assert seen == {rounds}, bits
+
+    def test_never_rises_with_size(self):
+        counts = [random_candidate_rounds(bits) for bits in range(8, 2048)]
+        assert counts == sorted(counts, reverse=True)
+        assert min(counts) == 5
 
 
 class TestGenPrime:

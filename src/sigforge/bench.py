@@ -92,8 +92,8 @@ def bench_one(config: BenchConfig, repeats: int, rng: RngHandle) -> BenchRecord:
         algorithm=config.algorithm,
         form=key.curve.form if scheme.on_curve else "-",
         curve=key.curve.name if scheme.on_curve else "-",
-        key_size=scheme.key_size(key),
-        hash_name=scheme.hash_name(key),
+        key_size=key.key_size,
+        hash_name=key.hash_name,
         keygen_s=keygen_s,
         sign_s=sign_s,
         verify_s=verify_s,

@@ -51,10 +51,10 @@ class Cryptosystem:
         else:
             self.key = scheme.keygen(self.rng, bits, curve)
         if scheme.on_curve:
+            if bits is not None:
+                raise ValueError(f"{algorithm} does not take bits; its curve sets the key size")
             if curve is not None and self.key.curve.name != curve.lower():
-                raise ValueError(
-                    f"key uses curve {self.key.curve.name!r}, not {curve!r}"
-                )
+                raise ValueError(f"key uses curve {self.key.curve.name!r}, not {curve!r}")
             if form is not None and self.key.curve.form != form.lower():
                 raise ValueError(
                     f"curve {self.key.curve.name!r} has form {self.key.curve.form!r}, "

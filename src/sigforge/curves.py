@@ -437,12 +437,7 @@ def mul_add(k1: int, p1: PointLike, k2: int, p2: PointLike, curve: CurveSpec) ->
     return c.to_affine(c.add(_mul(k1, p1, curve, c), _mul(k2, p2, curve, c), curve), curve)
 
 
-def order_bits(curve: CurveSpec) -> int:
-    """Bit length of the base point order n."""
-    return curve.n.bit_length()
-
-
-def validate_curve(curve: CurveSpec, rounds: int = numeric.MILLER_RABIN_ROUNDS) -> None:
+def validate_curve(curve: CurveSpec) -> None:
     """Check every CurveSpec invariant; raises ValueError naming the first failure.
 
     Checks: known form, h >= 1, n probable-prime, field validity (prime
@@ -457,7 +452,7 @@ def validate_curve(curve: CurveSpec, rounds: int = numeric.MILLER_RABIN_ROUNDS) 
         fail(f"unknown form {curve.form!r}")
     if curve.h < 1:
         fail("cofactor must be >= 1")
-    if curve.n < 2 or not numeric.is_probable_prime(curve.n, rounds):
+    if curve.n < 2 or not numeric.is_probable_prime(curve.n):
         fail("order n is not prime")
     if curve.form == KOBLITZ:
         if not isinstance(curve.field, BinaryField):
@@ -468,7 +463,7 @@ def validate_curve(curve: CurveSpec, rounds: int = numeric.MILLER_RABIN_ROUNDS) 
             fail("singular curve (b = 0)")
     else:
         p = curve.field
-        if not isinstance(p, int) or p < 3 or not numeric.is_probable_prime(p, rounds):
+        if not isinstance(p, int) or p < 3 or not numeric.is_probable_prime(p):
             fail("field modulus is not an odd prime")
         if curve.form == WEIERSTRASS:
             if (4 * curve.a**3 + 27 * curve.b**2) % p == 0:

@@ -21,7 +21,6 @@ from .curves import (
     is_on_curve,
     mul_add,
     negate,
-    order_bits,
     scalar_mul,
 )
 from .errors import MissingPrivateKeyError
@@ -34,6 +33,15 @@ class EcKey:
     curve: CurveSpec
     q: Point  # public point
     ka: Optional[int] = None  # private scalar
+
+    @property
+    def key_size(self) -> int:
+        """Bits of the base point order n, by which ECDSA and EdDSA alike pick the hash."""
+        return self.curve.n.bit_length()
+
+    @property
+    def hash_name(self) -> str:
+        return select_hash_for_order(self.key_size)
 
     @property
     def has_private(self) -> bool:
@@ -78,11 +86,9 @@ def ecdsa_sign_digest(key: EcKey, hm: int, k_r: int) -> Optional[EcdsaSignature]
 
 def ecdsa_sign(key: EcKey, message: bytes, rng: RngHandle) -> EcdsaSignature:
     """Sign with a fresh random nonce per call; nonce reuse leaks the key."""
-    curve = key.curve
-    alg = select_hash_for_order(order_bits(curve))
-    hm = digest_to_int(message, alg, curve.n)
+    hm = digest_to_int(message, key.hash_name, key.curve.n)
     while True:
-        k_r = rand_below(curve.n, rng)
+        k_r = rand_below(key.curve.n, rng)
         sig = ecdsa_sign_digest(key, hm, k_r)
         if sig is not None:
             return sig
@@ -111,8 +117,7 @@ def ecdsa_verify_digest(key: EcKey, hm: int, sig: EcdsaSignature) -> bool:
 
 
 def ecdsa_verify(key: EcKey, message: bytes, sig: EcdsaSignature) -> bool:
-    alg = select_hash_for_order(order_bits(key.curve))
-    return ecdsa_verify_digest(key, digest_to_int(message, alg, key.curve.n), sig)
+    return ecdsa_verify_digest(key, digest_to_int(message, key.hash_name, key.curve.n), sig)
 
 
 def eddsa_nonce(curve: CurveSpec, message: bytes, alg: str) -> int:
@@ -139,8 +144,7 @@ def eddsa_challenge(curve: CurveSpec, big_r: Point, public: Point, message: byte
 def eddsa_sign(key: EcKey, message: bytes) -> EddsaSignature:
     if key.ka is None:
         raise MissingPrivateKeyError("EdDSA signing requires the private scalar")
-    curve = key.curve
-    alg = select_hash_for_order(order_bits(curve))
+    curve, alg = key.curve, key.hash_name
     r = eddsa_nonce(curve, message, alg)
     big_r = scalar_mul(r, curve.g, curve)
     h = eddsa_challenge(curve, big_r, key.q, message, alg)
@@ -159,8 +163,7 @@ def eddsa_verify(key: EcKey, message: bytes, sig: EddsaSignature) -> bool:
     big_r = Point(*big_r)
     if not (is_on_curve(big_r, curve) and _public_point_ok(key)):
         return False
-    alg = select_hash_for_order(order_bits(curve))
-    h = eddsa_challenge(curve, big_r, key.q, message, alg)
+    h = eddsa_challenge(curve, big_r, key.q, message, key.hash_name)
     # s*G - h*Q = R, one two-term product; -Q rather than (n - h)*Q, which
     # equals -h*Q only when Q has no component outside the order-n subgroup
     return mul_add(s, curve.g, h, negate(key.q, curve), curve) == big_r

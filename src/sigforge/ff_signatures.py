@@ -80,7 +80,6 @@ class RsaKey:
 
     n: int
     e: int
-    modulus_bits: int
     d: Optional[int] = None
     p: Optional[int] = field(default=None, compare=False, repr=False)
     q: Optional[int] = field(default=None, compare=False, repr=False)
@@ -97,11 +96,19 @@ class RsaKey:
             object.__setattr__(self, name, value)
 
     @property
+    def key_size(self) -> int:
+        return self.n.bit_length()
+
+    @property
+    def hash_name(self) -> str:
+        return select_hash_for_modulus(self.key_size)
+
+    @property
     def has_private(self) -> bool:
         return self.d is not None
 
     def public_only(self) -> "RsaKey":
-        return RsaKey(n=self.n, e=self.e, modulus_bits=self.modulus_bits)
+        return RsaKey(n=self.n, e=self.e)
 
 
 @dataclass(frozen=True)
@@ -118,6 +125,14 @@ class DsaKey:
     x: Optional[int] = None
 
     @property
+    def key_size(self) -> int:
+        return self.params.p.bit_length()
+
+    @property
+    def hash_name(self) -> str:
+        return select_hash_for_modulus(self.key_size)
+
+    @property
     def has_private(self) -> bool:
         return self.x is not None
 
@@ -132,8 +147,7 @@ class DsaSignature(NamedTuple):
 
 def rsa_keygen(modulus_bits: int, rng: RngHandle) -> RsaKey:
     """Generate an RSA key: two random half-size primes, e = 65537."""
-    if modulus_bits < 512:
-        raise ValueError(f"RSA modulus of {modulus_bits} bits is too small (minimum 512)")
+    select_hash_for_modulus(modulus_bits)  # refuses a size under the hash rule's minimum
     if modulus_bits % 2:
         raise ValueError("RSA modulus size must be even")
     e = RSA_PUBLIC_EXPONENT
@@ -151,7 +165,7 @@ def rsa_keygen(modulus_bits: int, rng: RngHandle) -> RsaKey:
             d = mod_inv(e, phi)
         except NotInvertibleError:
             continue
-        return RsaKey(n=n, e=e, d=d, modulus_bits=modulus_bits, p=p, q=q)
+        return RsaKey(n=n, e=e, d=d, p=p, q=q)
 
 
 def rsa_sign_digest(key: RsaKey, hm: int) -> int:
@@ -173,8 +187,7 @@ def rsa_sign_digest(key: RsaKey, hm: int) -> int:
 
 
 def rsa_sign(key: RsaKey, message: bytes) -> int:
-    alg = select_hash_for_modulus(key.modulus_bits)
-    return rsa_sign_digest(key, digest_to_int(message, alg, key.n))
+    return rsa_sign_digest(key, digest_to_int(message, key.hash_name, key.n))
 
 
 def rsa_verify_digest(key: RsaKey, hm: int, signature: int) -> bool:
@@ -184,8 +197,7 @@ def rsa_verify_digest(key: RsaKey, hm: int, signature: int) -> bool:
 
 
 def rsa_verify(key: RsaKey, message: bytes, signature: int) -> bool:
-    alg = select_hash_for_modulus(key.modulus_bits)
-    return rsa_verify_digest(key, digest_to_int(message, alg, key.n), signature)
+    return rsa_verify_digest(key, digest_to_int(message, key.hash_name, key.n), signature)
 
 
 def dsa_paramgen(L: int, N: int, rng: RngHandle) -> DsaParams:
@@ -247,11 +259,9 @@ def dsa_sign(key: DsaKey, message: bytes, rng: RngHandle) -> DsaSignature:
     # before the first draw would reach dsa_sign_digest's check
     if key.x is None:
         raise MissingPrivateKeyError("DSA signing requires the private exponent x")
-    params = key.params
-    alg = select_hash_for_modulus(params.p.bit_length())
-    hm = digest_to_int(message, alg, params.q)
+    hm = digest_to_int(message, key.hash_name, key.params.q)
     while True:
-        k = rand_below(params.q, rng)
+        k = rand_below(key.params.q, rng)
         sig = dsa_sign_digest(key, hm, k)
         if sig is not None:
             return sig
@@ -270,6 +280,4 @@ def dsa_verify_digest(key: DsaKey, hm: int, sig: DsaSignature) -> bool:
 
 
 def dsa_verify(key: DsaKey, message: bytes, sig: DsaSignature) -> bool:
-    params = key.params
-    alg = select_hash_for_modulus(params.p.bit_length())
-    return dsa_verify_digest(key, digest_to_int(message, alg, params.q), sig)
+    return dsa_verify_digest(key, digest_to_int(message, key.hash_name, key.params.q), sig)

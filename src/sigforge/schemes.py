@@ -2,8 +2,8 @@
 
 ``SCHEMES`` maps each algorithm name to a ``Scheme`` record holding what the
 other layers need to know about it: key generation, signing and verification,
-the hash rule and key size, and the field layout of its key and signature
-files.  It is the only list of algorithms in the package.
+and the field layout of its key and signature files.  It is the only list of
+algorithms in the package; each key derives its own ``key_size`` and ``hash_name``.
 
 The records reach the scheme functions through this module's globals at call
 time (hence the small lambdas), so a wrapper bound over a module attribute,
@@ -13,7 +13,7 @@ such as a profiler's, also sees the calls made through the table.
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-from .curves import Point, is_neutral, is_on_curve, order_bits, scalar_mul
+from .curves import Point, is_neutral, is_on_curve, scalar_mul
 from .ec_signatures import (
     EcdsaSignature,
     EcKey,
@@ -39,7 +39,7 @@ from .ff_signatures import (
     rsa_sign_digest,
     rsa_verify,
 )
-from .hashing import digest_bits, select_hash_for_modulus, select_hash_for_order
+from .hashing import digest_bits, select_hash_for_modulus
 from .numeric import mod_exp
 from .registry import get_curve
 
@@ -48,12 +48,12 @@ DEFAULT_BITS = 2048
 
 @dataclass(frozen=True)
 class Scheme:
+    """What the other layers need of one algorithm; its hash is the key's ``hash_name``."""
+
     keygen: Callable  # (rng, bits, curve name) -> key; None picks the default
     sign: Callable  # (key, message, rng) -> signature
     verify: Callable  # (key, message, signature) -> bool
     on_curve: bool  # takes a curve (key files carry form and curve) or a modulus size
-    hash_name: Callable  # key -> name of the hash it signs with
-    key_size: Callable  # key -> modulus or base point order bits
     key_fields: Tuple[str, ...]  # integer key fields in file order, the private one last
     key_ints: Callable  # key -> the values of key_fields
     parse_key: Callable  # (form, curve,) *key_fields values -> key; the private one may be None
@@ -100,7 +100,7 @@ def _parse_rsa_key(n, e, d):
     try:
         # building a private key factors n from e and d; each probe signature
         # is then checked against e by the signer itself
-        key = RsaKey(n=n, e=e, d=d, modulus_bits=n.bit_length())
+        key = RsaKey(n=n, e=e, d=d)
         if d is not None:
             for probe in (2, 3):
                 rsa_sign_digest(key, probe)
@@ -157,8 +157,6 @@ def _ec_scheme(default_curve, **entries):
     return Scheme(
         keygen=lambda rng, bits, curve: ec_keygen(get_curve(curve or default_curve), rng),
         on_curve=True,
-        hash_name=lambda key: select_hash_for_order(order_bits(key.curve)),
-        key_size=lambda key: order_bits(key.curve),
         key_fields=("qx", "qy", "ka"),
         key_ints=lambda key: (key.q.x, key.q.y, key.ka),
         parse_key=_parse_ec_key,
@@ -172,8 +170,6 @@ SCHEMES = {
         sign=lambda key, message, rng: rsa_sign(key, message),
         verify=lambda key, message, sig: rsa_verify(key, message, sig),
         on_curve=False,
-        hash_name=lambda key: select_hash_for_modulus(key.modulus_bits),
-        key_size=lambda key: key.modulus_bits,
         key_fields=("n", "e", "d"),
         key_ints=lambda key: (key.n, key.e, key.d),
         parse_key=_parse_rsa_key,
@@ -186,8 +182,6 @@ SCHEMES = {
         sign=lambda key, message, rng: dsa_sign(key, message, rng),
         verify=lambda key, message, sig: dsa_verify(key, message, sig),
         on_curve=False,
-        hash_name=lambda key: select_hash_for_modulus(key.params.p.bit_length()),
-        key_size=lambda key: key.params.p.bit_length(),
         key_fields=("p", "q", "g", "y", "x"),
         key_ints=lambda key: (key.params.p, key.params.q, key.params.g, key.y, key.x),
         parse_key=_parse_dsa_key,

@@ -242,7 +242,7 @@ def test_criterion_6_registry_validation():
     """Every shipped curve passes the full invariant set at 40 rounds."""
     for name in ALL_CURVES:
         curve = get_curve(name)
-        validate_curve(curve, rounds=40)
+        validate_curve(curve)
         assert is_on_curve(curve.g, curve)
         assert is_neutral(scalar_mul(curve.n, curve.g, curve), curve)
         assert is_probable_prime(curve.n, 40)

@@ -91,6 +91,15 @@ class TestUsageErrors:
         )
         assert rc == EXIT_USAGE
 
+    def test_bits_for_a_curve(self, tmp_path, capsys):
+        rc = cli_main(
+            ["keygen", "--algorithm", "ecdsa", "--bits", "4096",
+             "--out", str(tmp_path / "a"), "--pub", str(tmp_path / "b")]
+        )
+        assert rc == EXIT_USAGE
+        assert "bits" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
     def test_bench_repeats_too_small(self):
         assert cli_main(["bench", "--repeats", "2"]) == EXIT_USAGE
 

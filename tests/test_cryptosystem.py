@@ -24,6 +24,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Cryptosystem("rsa", curve="ed25519", bits=512, seed=1)
 
+    @pytest.mark.parametrize("algorithm", ("ecdsa", "eddsa"))
+    def test_bits_rejected_for_curves(self, algorithm):
+        with pytest.raises(ValueError, match="bits"):
+            Cryptosystem(algorithm, bits=4096, seed=1)
+
     def test_seed_reproducible(self):
         a = Cryptosystem("ecdsa", curve="secp192k1", seed=9)
         b = Cryptosystem("ecdsa", curve="secp192k1", seed=9)

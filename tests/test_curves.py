@@ -13,7 +13,6 @@ from sigforge.curves import (
     mul_add,
     negate,
     neutral,
-    order_bits,
     point_add,
     scalar_mul,
     validate_curve,
@@ -288,12 +287,6 @@ class TestEdwardsDenominatorGuard:
             point_add(P, P, bad)
         with pytest.raises(ValueError, match="denominator"):
             scalar_mul(2, P, bad)  # the doubling formula keeps the same guard
-
-
-class TestOrderBits:
-    def test_toy_values(self):
-        assert order_bits(TOY_W17) == 5  # 19 needs five bits
-        assert order_bits(TOY_ED13) == 3
 
 
 class TestValidateCurve:

@@ -25,7 +25,7 @@ from sigforge.ff_signatures import (
 from sigforge.numeric import RngHandle, gen_prime, is_probable_prime, mod_exp, mod_inv, rand_below
 
 # p=61, q=53 -> n=3233, phi=3120, e=17, d=2753
-TOY_RSA = RsaKey(n=3233, e=17, modulus_bits=12, d=2753)
+TOY_RSA = RsaKey(n=3233, e=17, d=2753)
 
 # p=23, q=11, g=4, x=3 -> y = 4^3 mod 23 = 18
 TOY_DSA_PARAMS = DsaParams(p=23, q=11, g=4)
@@ -119,7 +119,7 @@ class TestRsaCrt:
 
     def test_factored_key_equals_the_generated_one(self):
         key = rsa_keygen(512, RngHandle(33))
-        rebuilt = RsaKey(n=key.n, e=key.e, modulus_bits=512, d=key.d)
+        rebuilt = RsaKey(n=key.n, e=key.e, d=key.d)
         assert rebuilt == key
         assert {rebuilt.p, rebuilt.q} == {key.p, key.q}
         rng = RngHandle(34)
@@ -137,7 +137,7 @@ class TestRsaCrt:
     def test_wrong_private_exponent_is_refused(self):
         key = rsa_keygen(512, RngHandle(36))
         with pytest.raises(ValueError, match="does not invert"):
-            RsaKey(n=key.n, e=key.e, modulus_bits=512, d=key.d + 2)
+            RsaKey(n=key.n, e=key.e, d=key.d + 2)
 
     @pytest.mark.parametrize("half", ("dp", "dq", "q_inv"))
     def test_corrupted_crt_value_raises(self, half):

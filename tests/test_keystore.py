@@ -100,7 +100,7 @@ class TestKeyRoundtrip:
         # a constructed 15360-bit n: 4,624 digits, past the interpreter's
         # default int/str limit of 4,300; decimal.Decimal converts without it
         n = (1 << 15359) | RngHandle(15360).getrandbits(15359) | 1
-        key = RsaKey(n=n, e=65537, modulus_bits=15360)
+        key = RsaKey(n=n, e=65537)
         text = render_key("rsa", key, public_only=True)
         digits = str(decimal.Decimal(n))
         assert len(digits) == 4624
@@ -110,7 +110,7 @@ class TestKeyRoundtrip:
     def test_key_past_the_largest_modulus_is_not_written(self):
         # a 16384-bit n has 4,932 or 4,933 digits, which parse_key would refuse
         n = (1 << 16383) | RngHandle(16384).getrandbits(16383) | 1
-        key = RsaKey(n=n, e=65537, modulus_bits=16384)
+        key = RsaKey(n=n, e=65537)
         with pytest.raises(KeyFileError, match=r"line 4: field 'n' is too long \(493[23] digits, at most 4624\)"):
             render_key("rsa", key, public_only=True)
 

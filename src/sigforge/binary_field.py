@@ -125,11 +125,6 @@ class BinaryField:
     def size(self) -> int:
         return 1 << self.m
 
-    def _check(self, *values):
-        for v in values:
-            if not 0 <= v < (1 << self.m):
-                raise ValueError(f"{v} is not an element of GF(2^{self.m})")
-
     def _reduce(self, v: int) -> int:
         """v mod poly, for any v >= 0, by folding the high part onto the taps."""
         m, mask, taps = self.m, self._mask, self._taps
@@ -142,12 +137,10 @@ class BinaryField:
         return v
 
     def mul(self, a: int, b: int) -> int:
-        """Carry-less product reduced modulo the field polynomial."""
-        self._check(a, b)
+        """Carry-less product reduced modulo the field polynomial; a and b must be elements."""
         return self._reduce(_clmul(a, b))
 
     def square(self, a: int) -> int:
-        self._check(a)
         return self._reduce(_poly_square(a))
 
     def inv(self, a: int) -> int:
@@ -155,9 +148,8 @@ class BinaryField:
 
         g1 and g2 keep degree below m throughout, so g1 needs no reduction.
         """
-        self._check(a)
-        if a == 0:
-            raise NotInvertibleError("0 has no inverse in a binary field")
+        if not 0 < a < self.size:
+            raise NotInvertibleError(f"{a} is not a nonzero element of GF(2^{self.m})")
         u, v = a, self.poly
         g1, g2 = 1, 0
         # invariant: g1*a == u and g2*a == v (mod poly)

@@ -39,6 +39,10 @@ class Cryptosystem:
     def __init__(self, algorithm, *, form=None, curve=None, bits=None, key_file=None, seed=None):
         algorithm = algorithm.lower()
         scheme = get_scheme(algorithm)
+        if scheme.on_curve and bits is not None:
+            raise ValueError(f"{algorithm} does not take bits; its curve sets the key size")
+        if not scheme.on_curve and (form is not None or curve is not None):
+            raise ValueError(f"{algorithm} does not take a form or curve")
         self.algorithm = algorithm
         self.rng = RngHandle(seed)
         if key_file is not None:
@@ -47,12 +51,12 @@ class Cryptosystem:
                 raise ValueError(
                     f"key file holds a {file_alg!r} key, but algorithm is {algorithm!r}"
                 )
+            if bits is not None and key.key_size != bits:
+                raise ValueError(f"key file holds a {key.key_size}-bit key, not {bits} bits")
             self.key = key
         else:
             self.key = scheme.keygen(self.rng, bits, curve)
         if scheme.on_curve:
-            if bits is not None:
-                raise ValueError(f"{algorithm} does not take bits; its curve sets the key size")
             if curve is not None and self.key.curve.name != curve.lower():
                 raise ValueError(f"key uses curve {self.key.curve.name!r}, not {curve!r}")
             if form is not None and self.key.curve.form != form.lower():
@@ -60,8 +64,6 @@ class Cryptosystem:
                     f"curve {self.key.curve.name!r} has form {self.key.curve.form!r}, "
                     f"not {form!r}"
                 )
-        elif form is not None or curve is not None:
-            raise ValueError(f"{algorithm} does not take a form or curve")
 
     @staticmethod
     def _as_bytes(message) -> bytes:

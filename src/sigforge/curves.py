@@ -47,6 +47,8 @@ class CurveSpec:
 
     ``b`` holds the second curve coefficient; for Edwards curves it is the
     parameter conventionally called d (exposed as the ``d`` property).
+    The curve operations trust these values: a curve built outside the
+    registry must pass ``validate_curve`` before use.
     """
 
     name: str
@@ -253,10 +255,9 @@ def _add_koblitz(p1, p2, curve):
         return p1
     f = curve.field
     if p1.x == p2.x:
+        # on the curve, the only points with a given x are P and -P
         if p2.y == p1.x ^ p1.y:  # p2 == -p1, including the self-inverse x == 0 case
             return None
-        if p1.y != p2.y:
-            raise ValueError("points share an x coordinate but are unrelated")
         # doubling, x != 0: lambda = x + y/x
         lam = p1.x ^ f.mul(p1.y, f.inv(p1.x))
         x3 = f.square(lam) ^ lam ^ curve.a
@@ -441,8 +442,8 @@ def validate_curve(curve: CurveSpec) -> None:
     """Check every CurveSpec invariant; raises ValueError naming the first failure.
 
     Checks: known form, h >= 1, n probable-prime, field validity (prime
-    modulus / irreducible reduction polynomial), non-singularity, base point
-    membership, n*G = neutral, and the Hasse bound on h*n.
+    modulus / irreducible reduction polynomial and a, b in GF(2^m)),
+    non-singularity, base point membership, n*G = neutral, and the Hasse bound.
     """
 
     def fail(reason):
@@ -459,6 +460,8 @@ def validate_curve(curve: CurveSpec) -> None:
             fail("koblitz form requires a BinaryField")
         if not is_irreducible(curve.field.poly):
             fail("reduction polynomial is not irreducible")
+        if not (0 <= curve.a < curve.field.size and 0 <= curve.b < curve.field.size):
+            fail("coefficients a and b must be field elements")
         if curve.b == 0:
             fail("singular curve (b = 0)")
     else:

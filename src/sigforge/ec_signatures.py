@@ -24,13 +24,13 @@ from .curves import (
     scalar_mul,
 )
 from .errors import MissingPrivateKeyError
-from .hashing import digest, digest_to_int, select_hash_for_order
-from .numeric import RngHandle, mod_inv, rand_below
+from .hashing import digest, digest_to_int, select_hash_for_order, verify_hash
+from .numeric import RngHandle, is_int_pair, mod_inv, rand_below
 
 
 @dataclass(frozen=True)
 class EcKey:
-    curve: CurveSpec
+    curve: CurveSpec  # a registry curve, or one that passed validate_curve
     q: Point  # public point
     ka: Optional[int] = None  # private scalar
 
@@ -94,11 +94,6 @@ def ecdsa_sign(key: EcKey, message: bytes, rng: RngHandle) -> EcdsaSignature:
             return sig
 
 
-def _ints(*parts) -> bool:
-    """Whether every signature part is an int; a caller can pass anything."""
-    return all(isinstance(part, int) for part in parts)
-
-
 def _public_point_ok(key: EcKey) -> bool:
     """The rule key files are held to on import: on the curve, not the neutral element."""
     return is_on_curve(key.q, key.curve) and not is_neutral(key.q, key.curve)
@@ -106,8 +101,10 @@ def _public_point_ok(key: EcKey) -> bool:
 
 def ecdsa_verify_digest(key: EcKey, hm: int, sig: EcdsaSignature) -> bool:
     curve = key.curve
+    if not is_int_pair(sig):
+        return False
     r, s = sig
-    if not (_ints(r, s) and 0 < r < curve.n and 0 < s < curve.n and _public_point_ok(key)):
+    if not (0 < r < curve.n and 0 < s < curve.n and _public_point_ok(key)):
         return False
     w = mod_inv(s, curve.n)
     total = mul_add(hm * w % curve.n, curve.g, r * w % curve.n, key.q, curve)
@@ -117,7 +114,10 @@ def ecdsa_verify_digest(key: EcKey, hm: int, sig: EcdsaSignature) -> bool:
 
 
 def ecdsa_verify(key: EcKey, message: bytes, sig: EcdsaSignature) -> bool:
-    return ecdsa_verify_digest(key, digest_to_int(message, key.hash_name, key.curve.n), sig)
+    alg = verify_hash(key)
+    if alg is None:
+        return False
+    return ecdsa_verify_digest(key, digest_to_int(message, alg, key.curve.n), sig)
 
 
 def eddsa_nonce(curve: CurveSpec, message: bytes, alg: str) -> int:
@@ -152,18 +152,20 @@ def eddsa_sign(key: EcKey, message: bytes) -> EddsaSignature:
 
 
 def eddsa_verify(key: EcKey, message: bytes, sig: EddsaSignature) -> bool:
-    curve = key.curve
+    curve, alg = key.curve, verify_hash(key)
+    if not (alg is not None and isinstance(sig, (tuple, list)) and len(sig) == 2):
+        return False
     big_r, s = sig
     # an honest s = r + h*ka is at most modulus*(n-1); the bound keeps the work
     # of s*G independent of the size of a forged s
-    if not (_ints(s) and 0 <= s < curve.n * eddsa_challenge_modulus(curve)):
+    if not (isinstance(s, int) and 0 <= s < curve.n * eddsa_challenge_modulus(curve)):
         return False
-    if not (isinstance(big_r, tuple) and len(big_r) == 2 and _ints(*big_r)):
+    if not is_int_pair(big_r):
         return False
     big_r = Point(*big_r)
     if not (is_on_curve(big_r, curve) and _public_point_ok(key)):
         return False
-    h = eddsa_challenge(curve, big_r, key.q, message, key.hash_name)
+    h = eddsa_challenge(curve, big_r, key.q, message, alg)
     # s*G - h*Q = R, one two-term product; -Q rather than (n - h)*Q, which
     # equals -h*Q only when Q has no component outside the order-n subgroup
     return mul_add(s, curve.g, h, negate(key.q, curve), curve) == big_r

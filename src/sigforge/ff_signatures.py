@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .errors import MissingPrivateKeyError, NotInvertibleError, SignatureCheckError
-from .hashing import digest_to_int, select_hash_for_modulus
+from .hashing import digest_to_int, select_hash_for_modulus, verify_hash
 from .numeric import (
     RngHandle,
     gen_prime,
+    is_int_pair,
     is_probable_prime,
     mod_exp,
     mod_inv,
@@ -33,8 +34,12 @@ RSA_PUBLIC_EXPONENT = 65537
 # Bases tried when factoring n from e and d: the 25 primes below 100.  A
 # random base splits a two-prime n with probability at least 1/2 (HAC 8.2.2),
 # so if these act as random bases, all of them fail, and a valid key is
-# refused, on about one key in 2^25.  A consistent-looking key that is not
-# two-prime, such as a prime n, costs one exponentiation per base.
+# refused, on about one key in 2^25.  A prime n never splits, so one
+# Miller-Rabin round on n follows the first two bases that fail: a prime n is
+# refused after three exponentiations, a valid key pays for the round with
+# probability at most 1/4, and a two-prime n passes it with probability about
+# gcd(p-1, q-1)^2 / n.  Other n that do not split, such as a prime power, cost
+# one exponentiation per base.
 _FACTORING_BASES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
 )
@@ -52,6 +57,9 @@ def rsa_factor_modulus(n: int, e: int, d: int):
     t = (k & -k).bit_length() - 1
     r = k >> t
     for g in _FACTORING_BASES:
+        # reached only when two bases failed to split n; a prime n never splits
+        if g == _FACTORING_BASES[2] and is_probable_prime(n, rounds=1):
+            break
         x = mod_exp(g, r, n)
         if x == 1:
             continue
@@ -197,7 +205,10 @@ def rsa_verify_digest(key: RsaKey, hm: int, signature: int) -> bool:
 
 
 def rsa_verify(key: RsaKey, message: bytes, signature: int) -> bool:
-    return rsa_verify_digest(key, digest_to_int(message, key.hash_name, key.n), signature)
+    alg = verify_hash(key)
+    if alg is None:
+        return False
+    return rsa_verify_digest(key, digest_to_int(message, alg, key.n), signature)
 
 
 def dsa_paramgen(L: int, N: int, rng: RngHandle) -> DsaParams:
@@ -269,8 +280,12 @@ def dsa_sign(key: DsaKey, message: bytes, rng: RngHandle) -> DsaSignature:
 
 def dsa_verify_digest(key: DsaKey, hm: int, sig: DsaSignature) -> bool:
     p, q, g = key.params.p, key.params.q, key.params.g
+    if not is_int_pair(sig):
+        return False
     r, s = sig
-    if not (isinstance(r, int) and isinstance(s, int) and 0 < r < q and 0 < s < q):
+    # q is prime on generated keys, but a caller or a key file can give a
+    # composite q, modulo which s may have no inverse
+    if not (0 < r < q and 0 < s < q and math.gcd(s, q) == 1):
         return False
     w = mod_inv(s, q)
     u1 = hm * w % q
@@ -280,4 +295,7 @@ def dsa_verify_digest(key: DsaKey, hm: int, sig: DsaSignature) -> bool:
 
 
 def dsa_verify(key: DsaKey, message: bytes, sig: DsaSignature) -> bool:
-    return dsa_verify_digest(key, digest_to_int(message, key.hash_name, key.params.q), sig)
+    alg = verify_hash(key)
+    if alg is None:
+        return False
+    return dsa_verify_digest(key, digest_to_int(message, alg, key.params.q), sig)

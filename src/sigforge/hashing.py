@@ -8,6 +8,7 @@ by modular reduction.
 """
 
 import hashlib
+from typing import Optional
 
 SHA160 = "sha160"
 SHA224 = "sha224"
@@ -58,6 +59,15 @@ def select_hash_for_order(order_bits: int) -> str:
     if order_bits >= 160:
         return SHA224
     return SHA160
+
+
+def verify_hash(key) -> Optional[str]:
+    """The key's ``hash_name``, or None where the rule refuses the key's size:
+    verify then answers False, where sign raises."""
+    try:
+        return key.hash_name
+    except ValueError:
+        return None
 
 
 def digest(message: bytes, alg: str) -> bytes:

@@ -5,13 +5,14 @@ first line is a header ("sigforge-key v1" or "sigforge-sig v1"), followed by
 "name: value" lines with lowercase names and canonical base-10 integers.
 Public key files never contain private fields (d, x, ka).
 
-Importing validates everything that can be validated: field sets are exact,
-integers canonical, points must lie on their named curve, exponents must be
-in range, and private material must be consistent with the public material.
+Importing reads the lines against the field order the writer uses and
+refuses the first line out of place.  Integers must be canonical, points on
+their named curve, exponents in range, and private material consistent.
 A mutated file either fails to parse or still denotes the same key -- never a
 silently different one.
 """
 
+import itertools
 import re
 
 from .errors import KeyFileError, MissingPrivateKeyError
@@ -70,20 +71,50 @@ def _render(header, pairs):
 
 
 def _parse_lines(text, header):
+    """The (line number, name, value) of each field line, in file order."""
     if not text.endswith("\n"):
         raise KeyFileError("file must end with a newline")
     lines = text.split("\n")[:-1]
     if not lines or lines[0] != header:
         raise KeyFileError(f"line 1: expected header {header!r}")
-    fields = {}
+    fields = []
     for lineno, line in enumerate(lines[1:], start=2):
         name, sep, value = line.partition(": ")
         if not sep or not name or not value:
             raise KeyFileError(f"line {lineno}: expected 'name: value', got {line!r}")
-        if name in fields:
-            raise KeyFileError(f"line {lineno}: duplicate field {name!r}")
-        fields[name] = (lineno, value)
+        fields.append((lineno, name, value))
     return fields
+
+
+def _read_layout(fields, layout):
+    """The values of fields named as ``layout``, in order; refuses the first line out of place."""
+    for index, (field, expected) in enumerate(itertools.zip_longest(fields, layout)):
+        if field is None:
+            raise KeyFileError(f"missing field {expected!r}")
+        lineno, name, _ = field
+        if name == expected:
+            continue
+        if name in layout[:index]:
+            raise KeyFileError(f"line {lineno}: duplicate field {name!r}")
+        if expected is None:
+            raise KeyFileError(f"line {lineno}: unexpected field {name!r}")
+        raise KeyFileError(f"line {lineno}: expected field {expected!r}, got {name!r}")
+    return [value for _, _, value in fields]
+
+
+def _int(field):
+    lineno, name, value = field
+    if not _DECIMAL.match(value):
+        raise KeyFileError(f"line {lineno}: field {name!r} is not a canonical decimal integer")
+    _check_length(lineno, name, value)
+    return _from_decimal(value)
+
+
+def _read_scheme(fields):
+    (algorithm,) = _read_layout(fields[:1], ("algorithm",))
+    if algorithm not in SCHEMES:
+        raise KeyFileError(f"unknown algorithm {algorithm!r}")
+    return algorithm, SCHEMES[algorithm]
 
 
 def _read_text(path):
@@ -100,41 +131,13 @@ def _write_text(path, text):
         fh.write(text.encode("utf-8"))
 
 
-class _FieldReader:
-    def __init__(self, fields):
-        self.fields = fields
-
-    def take_str(self, name):
-        if name not in self.fields:
-            raise KeyFileError(f"missing field {name!r}")
-        _, value = self.fields.pop(name)
-        return value
-
-    def take_int(self, name):
-        if name not in self.fields:
-            raise KeyFileError(f"missing field {name!r}")
-        lineno, value = self.fields.pop(name)
-        if not _DECIMAL.match(value):
-            raise KeyFileError(
-                f"line {lineno}: field {name!r} is not a canonical decimal integer"
-            )
-        _check_length(lineno, name, value)
-        return _from_decimal(value)
-
-    def take_scheme(self):
-        algorithm = self.take_str("algorithm")
-        if algorithm not in SCHEMES:
-            raise KeyFileError(f"unknown algorithm {algorithm!r}")
-        return algorithm, SCHEMES[algorithm]
-
-    def finish(self):
-        if self.fields:
-            name = next(iter(self.fields))
-            lineno, _ = self.fields[name]
-            raise KeyFileError(f"line {lineno}: unexpected field {name!r}")
-
-
 # --- keys -----------------------------------------------------------------
+
+
+def _key_layout(scheme, public):
+    """The field names of a key file, in file order."""
+    curve = ("form", "curve") if scheme.on_curve else ()
+    return ("algorithm", *curve, "type", *scheme.key_fields[: len(scheme.key_fields) - public])
 
 
 def render_key(algorithm: str, key, public_only: bool = False) -> str:
@@ -142,29 +145,24 @@ def render_key(algorithm: str, key, public_only: bool = False) -> str:
     scheme = get_scheme(algorithm)
     if not public_only and not key.has_private:
         raise MissingPrivateKeyError("cannot export private material from a public-only key")
-    pairs = [("algorithm", algorithm)]
-    if scheme.on_curve:
-        pairs += [("form", key.curve.form), ("curve", key.curve.name)]
-    pairs.append(("type", "public" if public_only else "private"))
-    count = len(scheme.key_fields) - public_only
-    pairs += zip(scheme.key_fields[:count], map(_to_decimal, scheme.key_ints(key)[:count]))
-    return _render(KEY_HEADER, pairs)
+    curve = (key.curve.form, key.curve.name) if scheme.on_curve else ()
+    ints = scheme.key_ints(key)[: len(scheme.key_fields) - public_only]
+    values = (algorithm, *curve, "public" if public_only else "private", *map(_to_decimal, ints))
+    return _render(KEY_HEADER, zip(_key_layout(scheme, public_only), values))
 
 
 def parse_key(text: str):
     """Inverse of render_key; returns (algorithm, key).  Raises KeyFileError
     naming the offending line or field on any malformed or inconsistent input."""
-    reader = _FieldReader(_parse_lines(text, KEY_HEADER))
-    algorithm, scheme = reader.take_scheme()
-    kind = reader.take_str("type")
+    fields = _parse_lines(text, KEY_HEADER)
+    algorithm, scheme = _read_scheme(fields)
+    layout = _key_layout(scheme, public=True)
+    head = layout[: layout.index("type") + 1]
+    _, *curve, kind = _read_layout(fields[: len(head)], head)
     if kind not in ("public", "private"):
         raise KeyFileError(f"field 'type' must be 'public' or 'private', got {kind!r}")
-    values = [reader.take_str("form"), reader.take_str("curve")] if scheme.on_curve else []
-    *public, private = scheme.key_fields
-    values += [reader.take_int(name) for name in public]
-    values.append(reader.take_int(private) if kind == "private" else None)
-    reader.finish()
-    return algorithm, scheme.parse_key(*values)
+    _read_layout(fields, _key_layout(scheme, kind == "public"))
+    return algorithm, scheme.parse_key(*curve, *map(_int, fields[len(curve) + 2 :]))
 
 
 def export_key(algorithm: str, key, path, public_only: bool = False) -> None:
@@ -178,19 +176,23 @@ def import_key(path):
 # --- signatures -------------------------------------------------------------
 
 
+def _sig_layout(scheme):
+    """The field names of a signature file, in file order."""
+    return ("algorithm", *scheme.sig_fields)
+
+
 def render_signature(algorithm: str, sig) -> str:
     scheme = get_scheme(algorithm)
-    pairs = [("algorithm", algorithm)] + list(zip(scheme.sig_fields, map(_to_decimal, scheme.sig_ints(sig))))
-    return _render(SIG_HEADER, pairs)
+    values = (algorithm, *map(_to_decimal, scheme.sig_ints(sig)))
+    return _render(SIG_HEADER, zip(_sig_layout(scheme), values))
 
 
 def parse_signature(text: str):
     """Inverse of render_signature; returns (algorithm, signature)."""
-    reader = _FieldReader(_parse_lines(text, SIG_HEADER))
-    algorithm, scheme = reader.take_scheme()
-    values = [reader.take_int(name) for name in scheme.sig_fields]
-    reader.finish()
-    return algorithm, scheme.sig_from_ints(*values)
+    fields = _parse_lines(text, SIG_HEADER)
+    algorithm, scheme = _read_scheme(fields)
+    _read_layout(fields, _sig_layout(scheme))
+    return algorithm, scheme.sig_from_ints(*map(_int, fields[1:]))
 
 
 def export_signature(algorithm: str, sig, path) -> None:

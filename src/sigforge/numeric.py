@@ -77,11 +77,17 @@ class RngHandle:
     """
 
     def __init__(self, seed=None):
-        self.seed = seed
         self._rng = random.SystemRandom() if seed is None else random.Random(seed)
 
     def getrandbits(self, k: int) -> int:
         return self._rng.getrandbits(k)
+
+
+def is_int_pair(value) -> bool:
+    """Whether value is a tuple or list of two ints; verify takes anything a caller passes."""
+    if not (isinstance(value, (tuple, list)) and len(value) == 2):
+        return False
+    return all(isinstance(part, int) for part in value)
 
 
 def mod_exp(base: int, exponent: int, modulus: int) -> int:

@@ -56,7 +56,7 @@ class Scheme:
     on_curve: bool  # takes a curve (key files carry form and curve) or a modulus size
     key_fields: Tuple[str, ...]  # integer key fields in file order, the private one last
     key_ints: Callable  # key -> the values of key_fields
-    parse_key: Callable  # (form, curve,) *key_fields values -> key; the private one may be None
+    parse_key: Callable  # (form, curve,) *key_fields values -> key; a public key omits the last
     sig_fields: Tuple[str, ...]
     sig_ints: Callable  # signature -> the values of sig_fields
     sig_from_ints: Callable  # *sig_fields values -> signature
@@ -89,7 +89,7 @@ def _check_modulus_size(name, modulus):
         raise KeyFileError(f"field {name!r}: {exc}") from None
 
 
-def _parse_rsa_key(n, e, d):
+def _parse_rsa_key(n, e, d=None):
     if n < 3 or n % 2 == 0:
         raise KeyFileError("field 'n' is not a valid RSA modulus")
     _check_modulus_size("n", n)
@@ -109,7 +109,7 @@ def _parse_rsa_key(n, e, d):
     return key
 
 
-def _parse_dsa_key(p, q, g, y, x):
+def _parse_dsa_key(p, q, g, y, x=None):
     if not 2 < q < p:
         raise KeyFileError("fields 'p', 'q' are out of range")
     _check_modulus_size("p", p)
@@ -127,7 +127,7 @@ def _parse_dsa_key(p, q, g, y, x):
     return DsaKey(params=DsaParams(p=p, q=q, g=g), y=y, x=x)
 
 
-def _parse_ec_key(form, name, qx, qy, ka):
+def _parse_ec_key(form, name, qx, qy, ka=None):
     try:
         curve = get_curve(name)
     except UnknownCurveError as exc:

@@ -1,6 +1,6 @@
 import pytest
 
-from sigforge import Cryptosystem
+from sigforge import Cryptosystem, schemes
 from sigforge.schemes import dsa_subgroup_bits
 
 
@@ -23,6 +23,14 @@ class TestConstruction:
     def test_curve_rejected_for_rsa(self):
         with pytest.raises(ValueError):
             Cryptosystem("rsa", curve="ed25519", bits=512, seed=1)
+
+    @pytest.mark.parametrize("form,curve", (("edwards", None), (None, "p256")))
+    def test_curve_options_refused_before_any_keygen(self, monkeypatch, form, curve):
+        calls = []
+        monkeypatch.setattr(schemes, "rsa_keygen", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="does not take a form or curve"):
+            Cryptosystem("rsa", form=form, curve=curve)
+        assert calls == []
 
     @pytest.mark.parametrize("algorithm", ("ecdsa", "eddsa"))
     def test_bits_rejected_for_curves(self, algorithm):
@@ -88,6 +96,12 @@ class TestKeyFileFlow:
         Cryptosystem("eddsa", seed=8).export_keys(tmp_path / "k.txt", public=True)
         with pytest.raises(ValueError, match="algorithm"):
             Cryptosystem("ecdsa", key_file=tmp_path / "k.txt")
+
+    def test_bits_mismatch_rejected(self, tmp_path):
+        Cryptosystem("rsa", bits=1024, seed=10).export_keys(tmp_path / "k.txt", public=True)
+        assert Cryptosystem("rsa", bits=1024, key_file=tmp_path / "k.txt").key.key_size == 1024
+        with pytest.raises(ValueError, match="1024-bit key, not 4096 bits"):
+            Cryptosystem("rsa", bits=4096, key_file=tmp_path / "k.txt")
 
     def test_curve_mismatch_rejected(self, tmp_path):
         Cryptosystem("eddsa", curve="ed448", seed=9).export_keys(tmp_path / "k.txt", public=True)

@@ -314,6 +314,16 @@ class TestValidateCurve:
         with pytest.raises(ValueError, match=r"n \* G is not the neutral element"):
             validate_curve(dataclasses.replace(curve, n=other))
 
+    @pytest.mark.parametrize("coefficient", ("a", "b"))
+    def test_koblitz_coefficients_must_be_field_elements(self, coefficient):
+        # GF(2^m) arithmetic trusts its operands, so the curve's own constants
+        # are checked here, once; setting bit m puts the value past the field
+        broken = dataclasses.replace(
+            TOY_K16, **{coefficient: getattr(TOY_K16, coefficient) | GF16.size}
+        )
+        with pytest.raises(ValueError, match="must be field elements"):
+            validate_curve(broken)
+
     def test_hasse_violation_rejected(self):
         # n = 19 with cofactor 3 puts h*n far outside the interval around 18
         broken = CurveSpec("broken", TOY_W17.form, 17, 2, 2, Point(5, 1), 19, 3)

@@ -1,6 +1,7 @@
-"""Verify on hostile signature values: any ints, huge or negative, and any
-non-ints in place of a signature part give a bool, within bounded time, on
-all four algorithms."""
+"""Verify on hostile input: any ints, huge or negative, and any non-ints in
+place of a signature part or of the whole signature give a bool, within
+bounded time, on all four algorithms, and so does a key whose size the hash
+rule refuses."""
 
 import time
 
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sigforge.cryptosystem import generate_key, sign_message, verify_message
-from sigforge.curves import Point
-from sigforge.ec_signatures import EcdsaSignature, EddsaSignature
-from sigforge.ff_signatures import DsaSignature
+from sigforge.curves import Point, scalar_mul
+from sigforge.ec_signatures import EcdsaSignature, EcKey, EddsaSignature
+from sigforge.ff_signatures import DsaKey, DsaParams, DsaSignature, RsaKey
 from sigforge.numeric import RngHandle
+
+from conftest import TOY_W17
 
 MESSAGE = b"hostile signature message"
 
@@ -37,6 +40,15 @@ NON_INTS = st.one_of(
     st.decimals(allow_nan=False, allow_infinity=False),
 )
 PARTS = st.one_of(INTS, NON_INTS)
+# a whole signature of any shape: a bare part, or a tuple or list of any length
+WHOLE = st.one_of(
+    PARTS,
+    st.tuples(),
+    st.tuples(PARTS),
+    st.tuples(PARTS, PARTS),
+    st.tuples(PARTS, PARTS, PARTS),
+    st.lists(PARTS, max_size=3),
+)
 
 KEYS = {
     "rsa": dict(bits=512),
@@ -121,3 +133,44 @@ def test_non_int_parts_are_invalid(signed, algorithm, make):
     key, good = signed[algorithm]
     assert assert_bool_in_bounded_time(algorithm, key, good) is True
     assert assert_bool_in_bounded_time(algorithm, key, make(good)) is False
+
+
+@pytest.mark.parametrize("algorithm", tuple(KEYS))
+@HOSTILE
+@given(sig=WHOLE)
+def test_whole_signature(signed, algorithm, sig):
+    assert_bool_in_bounded_time(algorithm, signed[algorithm][0], sig)
+
+
+@pytest.mark.parametrize("algorithm", tuple(KEYS))
+@pytest.mark.parametrize("sig", (5, None, (1, 2, 3), (1,), "abc"), ids=repr)
+def test_wrong_shape_is_invalid(signed, algorithm, sig):
+    assert assert_bool_in_bounded_time(algorithm, signed[algorithm][0], sig) is False
+
+
+@pytest.mark.parametrize("algorithm", ("dsa", "ecdsa", "eddsa"))
+def test_signature_as_a_list(signed, algorithm):
+    key, good = signed[algorithm]
+    parts = [list(part) if isinstance(part, tuple) else part for part in good]
+    assert assert_bool_in_bounded_time(algorithm, key, parts) is True
+    assert assert_bool_in_bounded_time(algorithm, key, parts[::-1]) is False
+
+
+# keys under the hash rule's minimum sizes (512-bit moduli, 80-bit orders);
+# key files refuse them, but a caller can build them directly
+_TOY_POINT = scalar_mul(3, TOY_W17.g, TOY_W17)
+SMALL_KEYS = {
+    "rsa": (RsaKey(n=3233, e=17, d=2753), 5),
+    "dsa": (DsaKey(DsaParams(p=23, q=11, g=4), y=18, x=3), DsaSignature(1, 2)),
+    "ecdsa": (EcKey(TOY_W17, _TOY_POINT, 3), EcdsaSignature(1, 2)),
+    "eddsa": (EcKey(TOY_W17, _TOY_POINT, 3), EddsaSignature(TOY_W17.g, 2)),
+}
+
+
+@pytest.mark.parametrize("algorithm", tuple(SMALL_KEYS))
+def test_key_size_the_hash_rule_refuses(algorithm):
+    key, sig = SMALL_KEYS[algorithm]
+    assert assert_bool_in_bounded_time(algorithm, key, sig) is False
+    assert assert_bool_in_bounded_time(algorithm, key.public_only(), sig) is False
+    with pytest.raises(ValueError, match="too small"):
+        sign_message(algorithm, key, MESSAGE, RngHandle(1))

@@ -3,8 +3,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from sigforge import ff_signatures, numeric
 from sigforge.ec_signatures import (
     EcdsaSignature,
     EddsaSignature,
@@ -12,6 +13,7 @@ from sigforge.ec_signatures import (
     ecdsa_sign,
     eddsa_sign,
 )
+from sigforge.cryptosystem import verify_message
 from sigforge.curves import Point, is_on_curve
 from sigforge.errors import KeyFileError, MissingPrivateKeyError
 from sigforge.ff_signatures import (
@@ -34,7 +36,7 @@ from sigforge.keystore import (
     render_key,
     render_signature,
 )
-from sigforge.numeric import RngHandle, gen_prime, mod_inv
+from sigforge.numeric import RngHandle, gen_prime, is_probable_prime, mod_inv
 from sigforge.registry import get_curve
 
 
@@ -167,14 +169,24 @@ class TestKeyValidation:
         with pytest.raises(KeyFileError, match="consistent"):
             parse_key(text)
 
-    def test_rsa_key_on_a_prime_modulus_rejected(self):
+    def test_rsa_key_on_a_prime_modulus_rejected(self, monkeypatch):
         # d inverts e modulo n - 1, so m^(e*d) = m (mod n) for every m, but n
         # is not a product of two primes
         n = gen_prime(1024, RngHandle(104))
         d = mod_inv(65537, n - 1)
         text = f"sigforge-key v1\nalgorithm: rsa\ntype: private\nn: {n}\ne: 65537\nd: {d}\n"
+        calls = []
+
+        def counting_mod_exp(base, exponent, modulus):
+            calls.append(modulus)
+            return pow(base, exponent, modulus)
+
+        monkeypatch.setattr(ff_signatures, "mod_exp", counting_mod_exp)
+        monkeypatch.setattr(numeric, "mod_exp", counting_mod_exp)
         with pytest.raises(KeyFileError, match="not a consistent RSA key"):
             parse_key(text)
+        # refused after a few exponentiations, not one per factoring base
+        assert 0 < len(calls) <= 3
 
     def test_rsa_key_on_three_primes_rejected(self):
         # d inverts e modulo lcm(p-1, q-1, r-1), so m^(e*d) = m (mod n) for
@@ -199,6 +211,46 @@ class TestKeyValidation:
     def test_modulus_under_512_bits_rejected(self, text):
         with pytest.raises(KeyFileError, match="too small"):
             parse_key(text)
+
+    @pytest.mark.parametrize(
+        "algorithm,public,change,match",
+        (
+            ("rsa", True, lambda key: {"n": key.n + 1}, "not a valid RSA modulus"),
+            ("rsa", True, lambda key: {"e": 2}, "field 'e' is out of range"),
+            ("rsa", False, lambda key: {"d": key.n}, "field 'd' is out of range"),
+            ("dsa", True, lambda key: {"q": key.params.p}, "fields 'p', 'q' are out of range"),
+            ("dsa", True, lambda key: {"g": 1}, "not a generator"),
+            ("dsa", False, lambda key: {"x": key.params.q}, "field 'x' is out of range"),
+            ("dsa", False, lambda key: {"x": key.x % (key.params.q - 1) + 1}, "not a consistent"),
+            ("eddsa", True, lambda key: {"qx": 0, "qy": 1}, "neutral element"),
+            ("ecdsa", False, lambda key: {"ka": key.curve.n}, "field 'ka' is out of range"),
+        ),
+        ids=(
+            "rsa-even-n", "rsa-e", "rsa-d", "dsa-q", "dsa-g", "dsa-x", "dsa-x-y", "ec-neutral", "ec-ka"
+        ),
+    )
+    def test_scheme_invariant_refused(self, keys, algorithm, public, change, match):
+        lines = render_key(algorithm, keys[algorithm], public_only=public).splitlines()
+        for name, value in change(keys[algorithm]).items():
+            index = next(i for i, line in enumerate(lines) if line.startswith(f"{name}: "))
+            lines[index] = f"{name}: {value}"
+        with pytest.raises(KeyFileError, match=match):
+            parse_key("\n".join(lines) + "\n")
+
+    def test_dsa_composite_subgroup_order_verifies_to_false(self):
+        # q | p - 1 and g, y of order dividing q, but q = 3 * prime: the file
+        # parses, and a signature with s = 3, which has no inverse mod q, is
+        # refused by verify instead of raising
+        q = 3 * gen_prime(158, RngHandle(106))
+        rng = random.Random(106)
+        p = 0
+        while not (p.bit_length() == 512 and is_probable_prime(p)):
+            p = q * (rng.getrandbits(512 - q.bit_length()) << 1) + 1
+        g = next(g for g in (pow(h, (p - 1) // q, p) for h in range(2, 100)) if g != 1)
+        y = pow(g, 5, p)
+        text = f"sigforge-key v1\nalgorithm: dsa\ntype: public\np: {p}\nq: {q}\ng: {g}\ny: {y}\n"
+        algorithm, key = parse_key(text)
+        assert verify_message(algorithm, key, b"m", DsaSignature(1, 3)) is False
 
     def test_dsa_invariants_enforced(self, keys):
         key = keys["dsa"]
@@ -395,3 +447,64 @@ class TestPropertyFuzz:
         lines[index] = f"{name}: {value}"
         with pytest.raises(KeyFileError, match="too long"):
             parse_and_render(kind, "\n".join(lines))
+
+
+class TestLineOrder:
+    """Fields are read against the layout that writes them: a file with its
+    lines in any other order is refused, naming the first line out of place."""
+
+    def test_swapped_key_lines_name_the_first_misplaced_line(self, keys):
+        lines = render_key("eddsa", keys["eddsa"], public_only=True).splitlines()
+        assert [line.partition(":")[0] for line in lines[5:]] == ["qx", "qy"]
+        lines[5], lines[6] = lines[6], lines[5]
+        with pytest.raises(KeyFileError, match=r"^line 6: expected field 'qx', got 'qy'$"):
+            parse_key("\n".join(lines) + "\n")
+
+    def test_swapped_header_fields_name_the_first_misplaced_line(self, keys):
+        lines = render_key("ecdsa", keys["ecdsa"]).splitlines()
+        lines[2], lines[4] = lines[4], lines[2]  # form and type
+        with pytest.raises(KeyFileError, match=r"^line 3: expected field 'form', got 'type'$"):
+            parse_key("\n".join(lines) + "\n")
+
+    def test_swapped_signature_lines_name_the_first_misplaced_line(self, keys):
+        lines = render_signature("eddsa", eddsa_sign(keys["eddsa"], b"m")).splitlines()
+        lines[2], lines[3] = lines[3], lines[2]
+        with pytest.raises(KeyFileError, match=r"^line 3: expected field 'rx', got 'ry'$"):
+            parse_signature("\n".join(lines) + "\n")
+
+    def test_algorithm_line_must_come_first(self):
+        with pytest.raises(KeyFileError, match=r"^line 2: expected field 'algorithm', got 's'$"):
+            parse_signature("sigforge-sig v1\ns: 5\nalgorithm: rsa\n")
+
+    def test_private_field_in_a_public_file(self, keys):
+        text = render_key("dsa", keys["dsa"]).replace("type: private", "type: public")
+        with pytest.raises(KeyFileError, match=r"^line 8: unexpected field 'x'$"):
+            parse_key(text)
+
+    def test_private_file_without_its_private_field(self, keys):
+        text = render_key("dsa", keys["dsa"], public_only=True)
+        text = text.replace("type: public", "type: private")
+        with pytest.raises(KeyFileError, match=r"^missing field 'x'$"):
+            parse_key(text)
+
+
+ALGORITHMS = ("rsa", "dsa", "ecdsa", "eddsa")
+ORDERED_FILES = [("key", alg, public) for alg in ALGORITHMS for public in (True, False)]
+ORDERED_FILES += [("sig", alg, None) for alg in ALGORITHMS]
+
+
+@pytest.mark.parametrize("kind,algorithm,public", ORDERED_FILES)
+@FUZZ
+@given(data=st.data())
+def test_every_reordering_of_the_field_lines_is_refused(
+    keys, seeded_files, kind, algorithm, public, data
+):
+    if kind == "key":
+        text = render_key(algorithm, keys[algorithm], public_only=public)
+    else:
+        text = seeded_files["sig", algorithm]
+    header, *fields = text.splitlines()
+    order = data.draw(st.permutations(range(len(fields))))
+    assume(order != list(range(len(fields))))
+    with pytest.raises(KeyFileError):
+        parse_and_render(kind, "\n".join([header] + [fields[i] for i in order]) + "\n")

@@ -16,6 +16,15 @@ law runs in coordinates that need no field inversion per step: Jacobian
 (X, Y, Z, T) ~ (X/Z, Y/Z) with T = XY/Z on Edwards curves, and affine
 coordinates on Koblitz curves.  Each public result is converted back to
 affine exactly once, so it does not depend on the coordinates used.
+
+Scalar multiplication is chosen from the curve's parameters.  On the
+anomalous binary curves -- koblitz form with b = 1 and a in {0, 1}, which in
+the registry are k163 and k233 -- the Frobenius map tau(x, y) = (x^2, y^2)
+replaces doubling in a width-w tau-adic NAF (Solinas 2000).  The scalar is
+reduced modulo tau^m - 1, which fixes every point of E(GF(2^m)), so the
+result is exact for any scalar and any curve point; n and h play no part.
+Every other curve multiplies G by a cached comb and any other point by a
+width-w NAF.
 """
 
 from dataclasses import dataclass
@@ -340,11 +349,17 @@ COMB_TEETH = 6
 # Variable-base width-w NAF (HMV Alg. 3.36): nonzero digits are odd, below
 # 2^(w-1) in size and at least w places apart, over 2^(w-2) odd multiples.
 WNAF_WIDTH = 4
-# comb tables kept, one per curve and comb spacing d, 2^COMB_TEETH points each
-COMB_TABLES = 128
+# Width-w tau-adic NAF on the anomalous binary curves (HMV 3.4): multiples
+# of G read a cached table of 2^(TNAF_FIXED_WIDTH-2) points, any other point
+# builds its 2^(TNAF_WIDTH-2) points per call.
+TNAF_FIXED_WIDTH = 6
+TNAF_WIDTH = 4
+# fixed-base tables kept: comb tables, one per curve and comb spacing d, and
+# tau-adic tables of G, one per curve
+FIXED_BASE_TABLES = 128
 
 
-@lru_cache(maxsize=COMB_TABLES)
+@lru_cache(maxsize=FIXED_BASE_TABLES)
 def _comb_table(curve: CurveSpec, d: int) -> tuple:
     """Entry a is sum(bit j of a * 2^(j*d) * G), with Z = 1 where the form has a Z."""
     c = _COORDS[curve.form]
@@ -412,11 +427,134 @@ def _wnaf_mul(k, point, curve, c):
     return acc
 
 
+# --- anomalous binary curves: tau-adic NAF (Solinas 2000; HMV 3.4) ----------
+#
+# On y^2 + xy = x^3 + ax^2 + 1 over GF(2^m) with a in {0, 1}, the Frobenius
+# map tau(x, y) = (x^2, y^2) is a group endomorphism with tau^2 - mu*tau + 2 = 0,
+# mu = (-1)^(1-a).  An element r0 + r1*tau of Z[tau], held as the pair (r0, r1),
+# acts on points as r0*P + r1*tau(P), and multiplying by tau costs two squarings.
+
+
+def _is_anomalous(curve):
+    """Whether tau acts on the curve: koblitz form, b = 1 and a in {0, 1}."""
+    return curve.form == KOBLITZ and curve.b == 1 and curve.a in (0, 1)
+
+
+def _tau_power(j, mu):
+    """tau^j = U_j*tau - 2*U_(j-1) for j >= 1, with U_0 = 0, U_1 = 1 and
+    U_(i+1) = mu*U_i - 2*U_(i-1)."""
+    u_prev, u = 0, 1
+    for _ in range(j - 1):
+        u_prev, u = u, mu * u - 2 * u_prev
+    return -2 * u_prev, u
+
+
+def _tau_reduce(k, d0, d1, mu):
+    """k - q*(d0 + d1*tau), with q the quotient k / (d0 + d1*tau) in Q(tau)
+    rounded coordinate-wise: the remainder has norm at most that of the divisor.
+
+    The quotient is k times the conjugate (d0 + mu*d1) - d1*tau over the norm.
+    """
+    norm = d0 * d0 + mu * d0 * d1 + 2 * d1 * d1
+    q0 = (2 * k * (d0 + mu * d1) + norm) // (2 * norm)
+    q1 = (norm - 2 * k * d1) // (2 * norm)
+    return k - q0 * d0 + 2 * q1 * d1, -q0 * d1 - q1 * d0 - mu * q1 * d1
+
+
+@lru_cache(maxsize=None)
+def _frobenius_modulus(m, mu):
+    """tau^m - 1 as (d0, d1).  tau^m fixes every point of E(GF(2^m)), so a scalar
+    reduced modulo it gives the same product on every curve point.  Its norm is
+    the group order h*n, but it is derived from m and mu alone: reducing modulo
+    (tau^m - 1)/(tau - 1) instead would be exact only on the order-n subgroup."""
+    d0, d1 = _tau_power(m, mu)
+    return d0 - 1, d1
+
+
+@lru_cache(maxsize=None)
+def _tnaf_constants(w, mu):
+    """(t, alphas): t = tau mod tau^w as an integer mod 2^w, and alpha_u = u mod
+    tau^w as (r0, r1) for odd u = 1, 3, ..., 2^(w-1) - 1."""
+    d0, d1 = _tau_power(w, mu)
+    t = -d0 * pow(d1, -1, 1 << w) % (1 << w)  # d0 + d1*t = 0 (mod 2^w)
+    return t, tuple(_tau_reduce(u, d0, d1, mu) for u in range(1, 1 << (w - 1), 2))
+
+
+def _tnaf(r0, r1, w, mu):
+    """Width-w tau-adic NAF of r0 + r1*tau, least significant first (Solinas 2000).
+
+    A digit u stands for sign(u) * alpha_|u|; nonzero digits are at least w
+    places apart.
+    """
+    t, alphas = _tnaf_constants(w, mu)
+    full, half = 1 << w, 1 << (w - 1)
+    digits = []
+    while r0 or r1:
+        u = 0
+        if r0 & 1:
+            u = (r0 + r1 * t) & (full - 1)
+            if u >= half:
+                u -= full
+            a0, a1 = alphas[abs(u) >> 1]
+            if u > 0:
+                r0, r1 = r0 - a0, r1 - a1
+            else:
+                r0, r1 = r0 + a0, r1 + a1
+        digits.append(u)
+        # divide by tau: 2 = tau*(mu - tau), so r0 = 2s gives s*mu - s*tau + r1
+        s = r0 >> 1
+        r0, r1 = r1 + mu * s, -s
+    return digits
+
+
+def _tnaf_eval(digits, table, curve):
+    """sum of digit_i * tau^i applied to the table's point, by Horner's rule."""
+    odd, negated = table
+    square = curve.field.square
+    acc = None
+    for u in reversed(digits):
+        if acc is not None:
+            acc = Point(square(acc.x), square(acc.y))
+        if u > 0:
+            acc = _add_koblitz(acc, odd[u >> 1], curve)
+        elif u < 0:
+            acc = _add_koblitz(acc, negated[-u >> 1], curve)
+    return acc
+
+
+def _tnaf_table(point, curve, w, mu):
+    """(odd, negated): alpha_u * point and its negative for odd u below 2^(w-1),
+    each alpha_u applied through its own width-2 tau-adic NAF."""
+    base = ((point,), (_negate_koblitz(point, curve),))
+    _, alphas = _tnaf_constants(w, mu)
+    odd = tuple(_tnaf_eval(_tnaf(a0, a1, 2, mu), base, curve) for a0, a1 in alphas)
+    return odd, tuple(_negate_koblitz(P, curve) for P in odd)
+
+
+@lru_cache(maxsize=FIXED_BASE_TABLES)
+def _tnaf_table_of_g(curve, mu):
+    return _tnaf_table(curve.g, curve, TNAF_FIXED_WIDTH, mu)
+
+
+def _tnaf_mul(k, point, curve):
+    """k * point on an anomalous binary curve; point has passed _require_on_curve."""
+    mu = 1 if curve.a == 1 else -1
+    r0, r1 = _tau_reduce(k, *_frobenius_modulus(curve.field.m, mu), mu)
+    if point == curve.g:
+        w, table = TNAF_FIXED_WIDTH, _tnaf_table_of_g(curve, mu)
+    else:
+        w, table = TNAF_WIDTH, _tnaf_table(point, curve, TNAF_WIDTH, mu)
+    return _tnaf_eval(_tnaf(r0, r1, w, mu), table, curve)
+
+
 def _mul(k, point, curve, c):
-    """k * point in the form's internal coordinates: the comb for G, wNAF otherwise."""
+    """k * point in the form's internal coordinates: the tau-adic NAF on the
+    anomalous binary curves, elsewhere the comb for G and wNAF otherwise."""
     if k < 0:
         raise ValueError("scalar must be non-negative")
     _require_on_curve(point, curve)
+    if _is_anomalous(curve):
+        return _tnaf_mul(k, point, curve)
     if point == curve.g:
         return _comb_mul(k, curve, c)
     return _wnaf_mul(k, point, curve, c)
@@ -425,8 +563,12 @@ def _mul(k, point, curve, c):
 def scalar_mul(k: int, point: PointLike, curve: CurveSpec) -> PointLike:
     """k-fold group sum; k may be any int >= 0 and is never reduced mod n.
 
-    Multiples of the base point ``curve.g`` use a fixed-base comb whose table
-    is cached per curve and scalar width; any other point uses width-w NAF.
+    On the anomalous binary curves (koblitz form, b = 1, a in {0, 1}) k is
+    reduced modulo tau^m - 1, which is exact on every curve point, and applied
+    as a width-w tau-adic NAF: multiples of ``curve.g`` read a table cached per
+    curve, other points build theirs per call.  On every other curve,
+    multiples of the base point use a fixed-base comb whose table is cached
+    per curve and scalar width, and any other point uses width-w NAF.
     """
     c = _COORDS[curve.form]
     return c.to_affine(_mul(k, point, curve, c), curve)

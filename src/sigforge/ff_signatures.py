@@ -34,12 +34,14 @@ RSA_PUBLIC_EXPONENT = 65537
 # Bases tried when factoring n from e and d: the 25 primes below 100.  A
 # random base splits a two-prime n with probability at least 1/2 (HAC 8.2.2),
 # so if these act as random bases, all of them fail, and a valid key is
-# refused, on about one key in 2^25.  A prime n never splits, so one
-# Miller-Rabin round on n follows the first two bases that fail: a prime n is
-# refused after three exponentiations, a valid key pays for the round with
-# probability at most 1/4, and a two-prime n passes it with probability about
-# gcd(p-1, q-1)^2 / n.  Other n that do not split, such as a prime power, cost
-# one exponentiation per base.
+# refused, on about one key in 2^25.  A prime n never splits, nor does a
+# prime power p^k, whose unit group is cyclic; on both, 2^n = 2 (mod p) for
+# the prime p dividing n.  So the first two bases that fail are followed by
+# one exponentiation, 2^n mod n, and n is refused when 2^n - 2 shares a
+# factor with it: a prime or prime-power n after three exponentiations.  A
+# valid key pays for that exponentiation with probability at most 1/4, and a
+# two-prime n = pq shares a factor with 2^n - 2 only if the order of 2 modulo
+# p divides q - 1, or the same with p and q swapped.
 _FACTORING_BASES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
 )
@@ -51,14 +53,14 @@ def rsa_factor_modulus(n: int, e: int, d: int):
     Writes e*d - 1 = 2^t * r with r odd and, for each base g, squares
     g^r mod n up to t times, looking for a square root of 1 other than +-1.
     Raises ValueError when some base has g^(e*d - 1) != 1 (mod n), so d does
-    not invert e, or when no base splits n, as on a prime n.
+    not invert e, or when no base splits n, as on a prime or prime-power n.
     """
     k = e * d - 1
     t = (k & -k).bit_length() - 1
     r = k >> t
     for g in _FACTORING_BASES:
-        # reached only when two bases failed to split n; a prime n never splits
-        if g == _FACTORING_BASES[2] and is_probable_prime(n, rounds=1):
+        # reached only when two bases failed to split n
+        if g == _FACTORING_BASES[2] and math.gcd(mod_exp(2, n, n) - 2, n) != 1:
             break
         x = mod_exp(g, r, n)
         if x == 1:

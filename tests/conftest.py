@@ -13,6 +13,13 @@ TOY_ED13 = CurveSpec("toy-ed13", EDWARDS, 13, 1, 7, Point(2, 9), 5, 4)
 GF16 = BinaryField(4, 0b10011)
 TOY_K16 = CurveSpec("toy-k16", KOBLITZ, GF16, 1, 8, Point(2, 12), 5, 4)
 
+# the anomalous binary curves y^2 + xy = x^3 + ax^2 + 1 over GF(2^5)/(x^5+x^2+1),
+# where tau(x, y) = (x^2, y^2) acts: a = 0 has 44 points (cyclic, so with
+# points of order 2 and 4) and a = 1 has 22; G generates the order-11 subgroup
+GF32 = BinaryField(5, 0b100101)
+TOY_K32A0 = CurveSpec("toy-k32a0", KOBLITZ, GF32, 0, 1, Point(2, 29), 11, 4)
+TOY_K32A1 = CurveSpec("toy-k32a1", KOBLITZ, GF32, 1, 1, Point(8, 23), 11, 2)
+
 
 @pytest.fixture
 def toy_w17():

@@ -96,6 +96,32 @@ def builtin_mod_inv(a, p):
     return pow(a, -1, p)
 
 
+def sqrt_mod_prime(a, p):
+    """A square root of a modulo an odd prime p, or None (Tonelli-Shanks)."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        r, t = r * b % p, t * c % p
+    return r
+
+
 def gf_inv_naive(a, poly, m):
     """Brute-force scan of all nonzero field elements."""
     for b in range(1, 1 << m):

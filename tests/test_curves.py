@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import random
 
 import pytest
 
+from sigforge import curves
 from sigforge.curves import (
     EDWARDS,
     WEIERSTRASS,
@@ -20,15 +22,17 @@ from sigforge.curves import (
 from sigforge.numeric import is_probable_prime
 from sigforge.registry import curve_names, get_curve
 
-from conftest import GF16, TOY_ED13, TOY_K16, TOY_W17
+from conftest import GF16, TOY_ED13, TOY_K16, TOY_K32A0, TOY_K32A1, TOY_W17
 from oracles import (
     builtin_mod_inv,
     cyclic_table,
     double_and_add,
     ed_add,
     edwards_points,
+    gf_mul_shift,
     k_add,
     koblitz_points,
+    sqrt_mod_prime,
     w_add,
     weierstrass_points,
 )
@@ -50,12 +54,23 @@ def _oracle_universe(curve):
     if curve is TOY_ED13:
         pts = edwards_points(13, 1, 7)
         return pts, lambda P, Q: ed_add(P, Q, 13, 1, 7)
-    assert curve is TOY_K16
-    pts = koblitz_points(4, GF16.poly, 1, 8)
-    return [None] + pts, lambda P, Q: k_add(P, Q, 4, GF16.poly, 1)
+    assert curve in (TOY_K16, TOY_K32A0, TOY_K32A1)
+    f = curve.field
+    pts = koblitz_points(f.m, f.poly, curve.a, curve.b)
+    return [None] + pts, lambda P, Q: k_add(P, Q, f.m, f.poly, curve.a)
 
 
-TOYS = (TOY_W17, TOY_ED13, TOY_K16)
+TOYS = (TOY_W17, TOY_ED13, TOY_K16, TOY_K32A0, TOY_K32A1)
+ANOMALOUS_TOYS = (TOY_K32A0, TOY_K32A1)
+
+
+def _mu(curve):
+    """The trace of the Frobenius map tau on an anomalous binary curve: (-1)^(1-a)."""
+    return 1 if curve.a == 1 else -1
+
+
+def _toy_or_registry_curve(name):
+    return {c.name: c for c in TOYS}.get(name) or get_curve(name)
 
 
 class TestIsOnCurve:
@@ -212,18 +227,25 @@ def _registry_oracle(curve):
 
 
 class TestScalarMulAgainstAffineOracle:
-    """The comb (multiples of G) and wNAF (any other point) paths, and the
-    verify sums, against plain affine double-and-add on every registry curve."""
+    """The comb (multiples of G), wNAF (any other point) and tau-adic NAF
+    (k163, k233) paths, and the verify sums, against plain affine
+    double-and-add on every registry curve."""
+
+    @staticmethod
+    def make_case(name):
+        curve = get_curve(name)
+        add, e = _registry_oracle(curve)
+        rng = random.Random(name)
+        n, hn = curve.n, curve.h * curve.n
+        # an EdDSA s reaches n * p, or n * 2^m on a binary field; from h*n on,
+        # a scalar wraps the whole group, not only the order-n subgroup
+        wide = rng.randrange(n, n * curve.field_size)
+        scalars = {0, 1, 2, n - 1, n, n + 1, hn, hn + 1, rng.randrange(n), wide}
+        return curve, add, e, rng, tuple(sorted(scalars))
 
     @pytest.fixture(params=curve_names())
     def case(self, request):
-        curve = get_curve(request.param)
-        add, e = _registry_oracle(curve)
-        rng = random.Random(request.param)
-        n = curve.n
-        # an EdDSA s reaches n * p, or n * 2^m on a binary field
-        wide = rng.randrange(n, n * curve.field_size)
-        return curve, add, e, rng, (0, 1, 2, n - 1, n, n + 1, rng.randrange(n), wide)
+        return self.make_case(request.param)
 
     @staticmethod
     def oracle_multiples(ks, P, add, e):
@@ -267,6 +289,26 @@ class TestScalarMulAgainstAffineOracle:
         want = add(R, double_and_add(h, Q, add, e))
         assert self.as_tuple(mul_add(1, Point(*R), h, Point(*Q), curve)) == want
 
+    @pytest.mark.parametrize("name", ("k163", "k233"))
+    def test_point_with_two_torsion_component(self, name):
+        # (0, sqrt(b)) has order 2, so G + (0, sqrt(b)) lies outside the
+        # order-n subgroup: only a reduction exact on the whole group keeps
+        # its multiples right
+        curve, add, e, _, scalars = self.make_case(name)
+        f = curve.field
+        root_b = curve.b
+        for _ in range(f.m - 1):
+            root_b = gf_mul_shift(root_b, root_b, f.poly)
+        T = (0, root_b)
+        assert add(T, T) is None
+        Q = add(tuple(curve.g), T)
+        want = self.oracle_multiples(scalars, Q, add, e)
+        for k in scalars:
+            assert self.as_tuple(scalar_mul(k, Point(*Q), curve)) == want[k], k
+            assert self.as_tuple(mul_add(k, Point(*Q), 1, curve.g, curve)) == add(
+                want[k], tuple(curve.g)
+            ), k
+
     def test_fast_oracle_laws_match_toy_oracles(self):
         # the registry oracle's inverses and products agree with brute force
         for curve in TOYS:
@@ -275,6 +317,105 @@ class TestScalarMulAgainstAffineOracle:
             for P in universe:
                 for Q in universe:
                     assert add(P, Q) == toy_add(P, Q)
+
+
+class TestTauAdicNaf:
+    """The Frobenius path of the anomalous binary curves (koblitz form, b = 1,
+    a in {0, 1}): its selection, its constants, and exhaustive toy checks."""
+
+    def test_selected_by_curve_parameters(self):
+        selected = [name for name in curve_names() if curves._is_anomalous(get_curve(name))]
+        assert sorted(selected) == ["k163", "k233"]
+        assert not curves._is_anomalous(TOY_K16)  # koblitz form, but b = 8
+        assert all(curves._is_anomalous(curve) for curve in ANOMALOUS_TOYS)
+
+    @pytest.mark.parametrize("name", ("k163", "b163", "toy-k32a1", "toy-k16"))
+    def test_one_path_per_curve(self, name, monkeypatch):
+        # the tau-adic NAF replaces both the comb and the wNAF, and runs nowhere else
+        curve = _toy_or_registry_curve(name)
+
+        def unused(*args):
+            raise AssertionError("a second scalar multiplication path ran")
+
+        if curves._is_anomalous(curve):
+            monkeypatch.setattr(curves, "_comb_mul", unused)
+            monkeypatch.setattr(curves, "_wnaf_mul", unused)
+        else:
+            monkeypatch.setattr(curves, "_tnaf_mul", unused)
+        for P in (curve.g, point_add(curve.g, curve.g, curve)):
+            assert is_on_curve(scalar_mul(curve.n + 3, P, curve), curve)
+
+    @staticmethod
+    def zt_mul(x, y, mu):
+        """Product in Z[tau], tau^2 = mu*tau - 2, of pairs (r0, r1) = r0 + r1*tau."""
+        return (x[0] * y[0] - 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0] + mu * x[1] * y[1])
+
+    @pytest.mark.parametrize("mu", (1, -1))
+    @pytest.mark.parametrize("w", (2, 3, 4, 5, 6))
+    def test_digits_expand_every_small_element(self, w, mu):
+        _, alphas = curves._tnaf_constants(w, mu)
+        tau_w = (1, 0)
+        for _ in range(w):
+            tau_w = self.zt_mul(tau_w, (0, 1), mu)
+        for j, (a0, a1) in enumerate(alphas):
+            # alpha_u = u (mod tau^w): u - alpha_u is a multiple of tau^w in Z[tau]
+            d0, d1 = 2 * j + 1 - a0, -a1
+            norm = tau_w[0] ** 2 + mu * tau_w[0] * tau_w[1] + 2 * tau_w[1] ** 2
+            conj = (tau_w[0] + mu * tau_w[1], -tau_w[1])
+            q = self.zt_mul((d0, d1), conj, mu)
+            assert q[0] % norm == 0 and q[1] % norm == 0, (2 * j + 1, a0, a1)
+        for r0 in range(-40, 41):
+            for r1 in range(-40, 41):
+                digits = curves._tnaf(r0, r1, w, mu)
+                acc = (0, 0)
+                for u in reversed(digits):
+                    acc = self.zt_mul(acc, (0, 1), mu)
+                    if u:
+                        a0, a1 = alphas[abs(u) >> 1]
+                        acc = (acc[0] + a0, acc[1] + a1) if u > 0 else (acc[0] - a0, acc[1] - a1)
+                assert acc == (r0, r1)
+                nonzero = [i for i, u in enumerate(digits) if u]
+                assert all(j - i >= w for i, j in zip(nonzero, nonzero[1:]))
+                assert all(u % 2 and abs(u) < 1 << (w - 1) for u in digits if u)
+
+    @pytest.mark.parametrize("name", ("k163", "k233", "toy-k32a0", "toy-k32a1"))
+    def test_frobenius_modulus_norm_is_the_group_order(self, name):
+        # derived from m and mu alone, it must still have norm |E| = h * n
+        curve = _toy_or_registry_curve(name)
+        mu = _mu(curve)
+        d0, d1 = curves._frobenius_modulus(curve.field.m, mu)
+        assert d0 * d0 + mu * d0 * d1 + 2 * d1 * d1 == curve.h * curve.n
+
+    @pytest.mark.parametrize("name", ("k163", "k233", "toy-k32a0", "toy-k32a1"))
+    def test_frobenius_acts_on_g_as_a_root_of_its_characteristic_polynomial(self, name):
+        curve = _toy_or_registry_curve(name)
+        f, n, mu = curve.field, curve.n, _mu(curve)
+        add, e = _registry_oracle(curve)
+        gx, gy = curve.g
+        tau_g = (gf_mul_shift(gx, gx, f.poly), gf_mul_shift(gy, gy, f.poly))
+        # lambda^2 - mu*lambda + 2 = 0 (mod n): lambda = (mu +- sqrt(mu^2 - 8)) / 2
+        root = sqrt_mod_prime(mu * mu - 8, n)
+        assert root is not None
+        lambdas = {(mu + s) * pow(2, -1, n) % n for s in (root, n - root)}
+        assert all((lam * lam - mu * lam + 2) % n == 0 for lam in lambdas)
+        matches = [lam for lam in lambdas if double_and_add(lam, tuple(curve.g), add, e) == tau_g]
+        assert len(matches) == 1
+
+    @pytest.mark.parametrize("curve", ANOMALOUS_TOYS, ids=lambda c: c.name)
+    def test_every_point_and_scalar_against_double_and_add(self, curve):
+        universe, toy_add = _oracle_universe(curve)
+        add = functools.lru_cache(maxsize=None)(toy_add)
+        top = 2 * curve.h * curve.n
+        g = tuple(curve.g)
+        g_multiples = [double_and_add(j, g, add, None) for j in range(top + 1)]
+        assert g in universe
+        for P in universe:
+            for k in range(top + 1):
+                want = double_and_add(k, P, add, None)
+                assert _as_tuple(scalar_mul(k, _from_tuple(P), curve)) == want, (P, k)
+                # G's cached table beside the per-call table of P
+                got = mul_add(k, _from_tuple(P), top - k, curve.g, curve)
+                assert _as_tuple(got) == add(want, g_multiples[top - k]), (P, k)
 
 
 class TestEdwardsDenominatorGuard:
@@ -304,10 +445,12 @@ class TestValidateCurve:
         with pytest.raises(ValueError, match="not prime"):
             validate_curve(broken)
 
-    def test_wrong_order_rejected_on_registry_curve(self):
-        # the comb computes n * G exactly, never reducing the scalar mod n:
+    @pytest.mark.parametrize("name", ("p256", "k163", "k233"))
+    def test_wrong_order_rejected_on_registry_curve(self, name):
+        # the comb computes n * G exactly, never reducing the scalar mod n, and
+        # the tau-adic NAF reduces it modulo tau^m - 1, derived without n:
         # with n replaced by another prime, n * G is not neutral
-        curve = get_curve("p256")
+        curve = get_curve(name)
         other = curve.n - 2
         while not is_probable_prime(other):
             other -= 2

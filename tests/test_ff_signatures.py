@@ -128,6 +128,23 @@ class TestRsaCrt:
             s = rsa_sign_digest(rebuilt, hm)
             assert s == rsa_sign_digest(key, hm) == mod_exp(hm, key.d, key.n)
 
+    def test_keys_two_bases_fail_to_split_still_factor(self, monkeypatch):
+        # such keys reach the gcd(2^n - 2, n) check before the third base
+        gated = 0
+        for seed in range(40, 56):
+            key = rsa_keygen(512, RngHandle(seed))
+            calls = []
+
+            def counting_mod_exp(base, exponent, modulus):
+                calls.append(base)
+                return pow(base, exponent, modulus)
+
+            monkeypatch.setattr(ff_module, "mod_exp", counting_mod_exp)
+            assert set(rsa_factor_modulus(key.n, key.e, key.d)) == {key.p, key.q}
+            monkeypatch.undo()
+            gated += calls[:3] == [2, 3, 2]
+        assert gated
+
     def test_prime_modulus_does_not_split(self):
         n = gen_prime(512, RngHandle(35))
         e = 65537

@@ -169,11 +169,8 @@ class TestKeyValidation:
         with pytest.raises(KeyFileError, match="consistent"):
             parse_key(text)
 
-    def test_rsa_key_on_a_prime_modulus_rejected(self, monkeypatch):
-        # d inverts e modulo n - 1, so m^(e*d) = m (mod n) for every m, but n
-        # is not a product of two primes
-        n = gen_prime(1024, RngHandle(104))
-        d = mod_inv(65537, n - 1)
+    @staticmethod
+    def refused_after_few_mod_exps(monkeypatch, n, d):
         text = f"sigforge-key v1\nalgorithm: rsa\ntype: private\nn: {n}\ne: 65537\nd: {d}\n"
         calls = []
 
@@ -187,6 +184,20 @@ class TestKeyValidation:
             parse_key(text)
         # refused after a few exponentiations, not one per factoring base
         assert 0 < len(calls) <= 3
+
+    def test_rsa_key_on_a_prime_modulus_rejected(self, monkeypatch):
+        # d inverts e modulo n - 1, so m^(e*d) = m (mod n) for every m, but n
+        # is not a product of two primes
+        n = gen_prime(1024, RngHandle(104))
+        self.refused_after_few_mod_exps(monkeypatch, n, mod_inv(65537, n - 1))
+
+    def test_rsa_key_on_a_prime_square_modulus_rejected(self, monkeypatch):
+        # d inverts e modulo p(p - 1), the order of the cyclic group of units
+        # modulo p^2: m^(e*d) = m for every unit m, and no base finds a square
+        # root of 1 other than +-1
+        p = gen_prime(1024, RngHandle(106))
+        assert math.gcd(65537, p - 1) == 1
+        self.refused_after_few_mod_exps(monkeypatch, p * p, mod_inv(65537, p * (p - 1)))
 
     def test_rsa_key_on_three_primes_rejected(self):
         # d inverts e modulo lcm(p-1, q-1, r-1), so m^(e*d) = m (mod n) for

@@ -67,6 +67,8 @@ class Cryptosystem:
 
     @staticmethod
     def _as_bytes(message) -> bytes:
+        if isinstance(message, int):  # bytes(n) would be n zero bytes
+            raise TypeError(f"message must be bytes-like or str, not {type(message).__name__}")
         return message.encode("utf-8") if isinstance(message, str) else bytes(message)
 
     def sign(self, message):

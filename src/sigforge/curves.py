@@ -17,14 +17,14 @@ law runs in coordinates that need no field inversion per step: Jacobian
 coordinates on Koblitz curves.  Each public result is converted back to
 affine exactly once, so it does not depend on the coordinates used.
 
-Scalar multiplication is chosen from the curve's parameters.  On the
-anomalous binary curves -- koblitz form with b = 1 and a in {0, 1}, which in
-the registry are k163 and k233 -- the Frobenius map tau(x, y) = (x^2, y^2)
-replaces doubling in a width-w tau-adic NAF (Solinas 2000).  The scalar is
-reduced modulo tau^m - 1, which fixes every point of E(GF(2^m)), so the
-result is exact for any scalar and any curve point; n and h play no part.
-Every other curve multiplies G by a cached comb and any other point by a
-width-w NAF.
+Scalar multiplication is one Horner loop over a scalar's digits and a table
+chosen from the curve's parameters.  On the anomalous binary curves -- koblitz
+form with b = 1 and a in {0, 1}: k163 and k233 in the registry -- the Frobenius
+map tau(x, y) = (x^2, y^2) replaces doubling in a width-w tau-adic NAF (Solinas
+2000), and the scalar is reduced modulo tau^m - 1, which fixes every point of
+E(GF(2^m)): exact for any scalar and any curve point, whatever n and h are.
+Elsewhere G's comb, one table per curve, reads k mod n, exact since
+validate_curve proves n*G neutral; any other point takes a width-w NAF of k.
 """
 
 from dataclasses import dataclass
@@ -341,10 +341,10 @@ def negate(point: PointLike, curve: CurveSpec) -> PointLike:
 
 # --- scalar multiplication ---------------------------------------------------
 
-# Fixed-base comb (Lim-Lee; HMV Alg. 3.44): a scalar of at most COMB_TEETH * d
-# bits is read as COMB_TEETH rows of d bits, and each column selects one of
-# 2^COMB_TEETH precomputed sums of 2^(j*d) * G, so a multiple of G costs d
-# doublings and at most d additions.
+# Fixed-base comb (Lim-Lee; HMV Alg. 3.44): k mod n, exact since validate_curve
+# proves n * G neutral, is read as COMB_TEETH rows of d = ceil(bits(n) /
+# COMB_TEETH) bits; each column is a digit selecting one of 2^COMB_TEETH sums
+# of 2^(j*d) * G, so a multiple of G costs d doublings and at most d additions.
 COMB_TEETH = 6
 # Variable-base width-w NAF (HMV Alg. 3.36): nonzero digits are odd, below
 # 2^(w-1) in size and at least w places apart, over 2^(w-2) odd multiples.
@@ -354,15 +354,37 @@ WNAF_WIDTH = 4
 # builds its 2^(TNAF_WIDTH-2) points per call.
 TNAF_FIXED_WIDTH = 6
 TNAF_WIDTH = 4
-# fixed-base tables kept: comb tables, one per curve and comb spacing d, and
-# tau-adic tables of G, one per curve
+# fixed-base tables kept: comb tables and tau-adic tables of G, one per curve
 FIXED_BASE_TABLES = 128
 
 
+def _horner(digits, table, step, c, curve):
+    """The sum of step^i(table[u_i]) over the digits u_i, given least significant
+    first, by Horner's rule; a zero digit adds nothing.  Every scalar
+    multiplication is this loop, with step the form's doubling or tau."""
+    acc = c.neutral
+    for u in reversed(digits):
+        acc = step(acc, curve)
+        if u:
+            acc = c.add(acc, table[u], curve)
+    return acc
+
+
+def _signed_table(odd, c, curve):
+    """Table indexed by a signed odd digit u with |u| < 2 * len(odd): odd[u >> 1]
+    for u > 0, and its negative for u < 0, which Python indexes from the end."""
+    table = [c.neutral] * (4 * len(odd))
+    for j, P in enumerate(odd):
+        table[2 * j + 1], table[-2 * j - 1] = P, c.negate(P, curve)
+    return tuple(table)
+
+
 @lru_cache(maxsize=FIXED_BASE_TABLES)
-def _comb_table(curve: CurveSpec, d: int) -> tuple:
-    """Entry a is sum(bit j of a * 2^(j*d) * G), with Z = 1 where the form has a Z."""
+def _comb_table(curve: CurveSpec) -> tuple:
+    """(d, table): the comb's row length, and the table whose entry a is
+    sum(bit j of a * 2^(j*d) * G), with Z = 1 where the form has a Z."""
     c = _COORDS[curve.form]
+    d = -(-curve.n.bit_length() // COMB_TEETH)
     teeth = [c.lift(curve.g, curve)]
     for _ in range(COMB_TEETH - 1):
         P = teeth[-1]
@@ -373,24 +395,15 @@ def _comb_table(curve: CurveSpec, d: int) -> tuple:
     for a in range(1, 1 << COMB_TEETH):
         low = a & -a
         table.append(c.add(table[a ^ low], teeth[low.bit_length() - 1], curve))
-    return tuple(c.lift(c.to_affine(P, curve), curve) for P in table)
+    return d, tuple(c.lift(c.to_affine(P, curve), curve) for P in table)
 
 
 def _comb_mul(k, curve, c):
-    # the width depends on k and on the bit length of n only: k is never
-    # reduced mod n, so the result is exact even if n is not the order of G
-    d = -(-max(k.bit_length(), curve.n.bit_length()) // COMB_TEETH)
-    table = _comb_table(curve, d)
-    mask = (1 << d) - 1
-    rows = [format(k >> (j * d) & mask, f"0{d}b") for j in reversed(range(COMB_TEETH))]
-    double, add = c.double, c.add
-    acc = c.neutral
-    for column in zip(*rows):
-        acc = double(acc, curve)
-        index = int("".join(column), 2)
-        if index:
-            acc = add(acc, table[index], curve)
-    return acc
+    d, table = _comb_table(curve)
+    k, mask = k % curve.n, (1 << d) - 1
+    rows = [format(k >> (j * d) & mask, f"0{d}b")[::-1] for j in reversed(range(COMB_TEETH))]
+    digits = [int("".join(column), 2) for column in zip(*rows)]
+    return _horner(digits, table, c.double, c, curve)
 
 
 def _wnaf(k):
@@ -410,21 +423,12 @@ def _wnaf(k):
 
 
 def _wnaf_mul(k, point, curve, c):
-    double, add = c.double, c.add
     P = c.lift(point, curve)
-    twice = double(P, curve)
+    twice = c.double(P, curve)
     odd = [P]  # odd[i] = (2i + 1) * P
     for _ in range((1 << (WNAF_WIDTH - 2)) - 1):
-        odd.append(add(odd[-1], twice, curve))
-    negated = [c.negate(Q, curve) for Q in odd]
-    acc = c.neutral
-    for u in reversed(_wnaf(k)):
-        acc = double(acc, curve)
-        if u > 0:
-            acc = add(acc, odd[u >> 1], curve)
-        elif u < 0:
-            acc = add(acc, negated[-u >> 1], curve)
-    return acc
+        odd.append(c.add(odd[-1], twice, curve))
+    return _horner(_wnaf(k), _signed_table(odd, c, curve), c.double, c, curve)
 
 
 # --- anomalous binary curves: tau-adic NAF (Solinas 2000; HMV 3.4) ----------
@@ -507,44 +511,36 @@ def _tnaf(r0, r1, w, mu):
     return digits
 
 
-def _tnaf_eval(digits, table, curve):
-    """sum of digit_i * tau^i applied to the table's point, by Horner's rule."""
-    odd, negated = table
+def _frobenius(P, curve):
+    """tau(x, y) = (x^2, y^2); it fixes the point at infinity."""
     square = curve.field.square
-    acc = None
-    for u in reversed(digits):
-        if acc is not None:
-            acc = Point(square(acc.x), square(acc.y))
-        if u > 0:
-            acc = _add_koblitz(acc, odd[u >> 1], curve)
-        elif u < 0:
-            acc = _add_koblitz(acc, negated[-u >> 1], curve)
-    return acc
+    return None if P is None else Point(square(P.x), square(P.y))
 
 
 def _tnaf_table(point, curve, w, mu):
-    """(odd, negated): alpha_u * point and its negative for odd u below 2^(w-1),
-    each alpha_u applied through its own width-2 tau-adic NAF."""
-    base = ((point,), (_negate_koblitz(point, curve),))
+    """Signed-digit table of alpha_u * point for odd u below 2^(w-1), each
+    alpha_u applied through its own width-2 tau-adic NAF."""
+    c = _COORDS[KOBLITZ]
+    base = _signed_table([point], c, curve)
     _, alphas = _tnaf_constants(w, mu)
-    odd = tuple(_tnaf_eval(_tnaf(a0, a1, 2, mu), base, curve) for a0, a1 in alphas)
-    return odd, tuple(_negate_koblitz(P, curve) for P in odd)
+    odd = [_horner(_tnaf(a0, a1, 2, mu), base, _frobenius, c, curve) for a0, a1 in alphas]
+    return _signed_table(odd, c, curve)
 
 
 @lru_cache(maxsize=FIXED_BASE_TABLES)
-def _tnaf_table_of_g(curve, mu):
-    return _tnaf_table(curve.g, curve, TNAF_FIXED_WIDTH, mu)
+def _tnaf_table_of_g(curve):
+    return _tnaf_table(curve.g, curve, TNAF_FIXED_WIDTH, 1 if curve.a == 1 else -1)
 
 
-def _tnaf_mul(k, point, curve):
+def _tnaf_mul(k, point, curve, c):
     """k * point on an anomalous binary curve; point has passed _require_on_curve."""
     mu = 1 if curve.a == 1 else -1
     r0, r1 = _tau_reduce(k, *_frobenius_modulus(curve.field.m, mu), mu)
     if point == curve.g:
-        w, table = TNAF_FIXED_WIDTH, _tnaf_table_of_g(curve, mu)
+        w, table = TNAF_FIXED_WIDTH, _tnaf_table_of_g(curve)
     else:
         w, table = TNAF_WIDTH, _tnaf_table(point, curve, TNAF_WIDTH, mu)
-    return _tnaf_eval(_tnaf(r0, r1, w, mu), table, curve)
+    return _horner(_tnaf(r0, r1, w, mu), table, _frobenius, c, curve)
 
 
 def _mul(k, point, curve, c):
@@ -554,21 +550,21 @@ def _mul(k, point, curve, c):
         raise ValueError("scalar must be non-negative")
     _require_on_curve(point, curve)
     if _is_anomalous(curve):
-        return _tnaf_mul(k, point, curve)
+        return _tnaf_mul(k, point, curve, c)
     if point == curve.g:
         return _comb_mul(k, curve, c)
     return _wnaf_mul(k, point, curve, c)
 
 
 def scalar_mul(k: int, point: PointLike, curve: CurveSpec) -> PointLike:
-    """k-fold group sum; k may be any int >= 0 and is never reduced mod n.
+    """k-fold group sum, for any int k >= 0.
 
     On the anomalous binary curves (koblitz form, b = 1, a in {0, 1}) k is
     reduced modulo tau^m - 1, which is exact on every curve point, and applied
     as a width-w tau-adic NAF: multiples of ``curve.g`` read a table cached per
-    curve, other points build theirs per call.  On every other curve,
-    multiples of the base point use a fixed-base comb whose table is cached
-    per curve and scalar width, and any other point uses width-w NAF.
+    curve, other points build theirs per call.  Elsewhere multiples of the base
+    point read k mod n, exact once ``validate_curve`` has passed, through a comb
+    with one table cached per curve; any other point uses width-w NAF of k itself.
     """
     c = _COORDS[curve.form]
     return c.to_affine(_mul(k, point, curve, c), curve)
@@ -585,7 +581,7 @@ def validate_curve(curve: CurveSpec) -> None:
 
     Checks: known form, h >= 1, n probable-prime, field validity (prime
     modulus / irreducible reduction polynomial and a, b in GF(2^m)),
-    non-singularity, base point membership, n*G = neutral, and the Hasse bound.
+    non-singularity, base point membership, (n - 1)*G = -G, and the Hasse bound.
     """
 
     def fail(reason):
@@ -618,7 +614,8 @@ def validate_curve(curve: CurveSpec) -> None:
                 fail("degenerate edwards parameters")
     if not is_on_curve(curve.g, curve):
         fail("base point is not on the curve")
-    if not is_neutral(scalar_mul(curve.n, curve.g, curve), curve):
+    # n*G = neutral, checked as (n - 1)*G = -G: the comb would read n*G as 0*G
+    if scalar_mul(curve.n - 1, curve.g, curve) != negate(curve.g, curve):
         fail("n * G is not the neutral element")
     q = curve.field_size
     t = curve.h * curve.n - (q + 1)

@@ -71,6 +71,18 @@ class TestSignVerify:
         system = Cryptosystem("eddsa", seed=4)
         assert system.verify(b"Hello, world!", system.sign("Hello, world!"))
 
+    @pytest.mark.parametrize("message", (5, 0, True, None, 1.5))
+    def test_messages_that_are_not_bytes_or_str_refused(self, message):
+        # bytes(5) would be five zero bytes, and bytes(10**10) ten gigabytes
+        system = Cryptosystem("eddsa", seed=4)
+        signature = system.sign(bytes(5))
+        with pytest.raises(TypeError):
+            system.sign(message)
+        with pytest.raises(TypeError):
+            system.verify(message, signature)
+        assert system.verify(bytearray(5), signature)
+        assert system.verify(memoryview(bytes(5)), signature)
+
     def test_cross_form_combination(self):
         system = Cryptosystem("eddsa", form="weierstrass", curve="secp256k1", seed=5)
         assert system.verify(b"m", system.sign(b"m"))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sigforge import curves
+from sigforge import Cryptosystem, curves
 from sigforge.curves import (
     EDWARDS,
     WEIERSTRASS,
@@ -211,6 +211,15 @@ class TestScalarMul:
         for k in (1, 7, 12345, curve.n - 1):
             assert scalar_mul(k, curve.g, curve) == scalar_mul(k + curve.n, curve.g, curve)
 
+    def test_one_comb_table_per_curve(self):
+        # EdDSA verify multiplies G by its unreduced s, about twice the bits
+        # of n; read mod n, it shares the comb of keygen and signing
+        curves._comb_table.cache_clear()
+        for name in ("p256", "b163"):
+            system = Cryptosystem("eddsa", curve=name, seed=1)
+            assert system.verify(b"m", system.sign(b"m"))
+        assert curves._comb_table.cache_info().currsize == 2
+
     def test_negative_scalar_rejected(self):
         with pytest.raises(ValueError):
             scalar_mul(-1, TOY_W17.g, TOY_W17)
@@ -229,7 +238,9 @@ def _registry_oracle(curve):
 class TestScalarMulAgainstAffineOracle:
     """The comb (multiples of G), wNAF (any other point) and tau-adic NAF
     (k163, k233) paths, and the verify sums, against plain affine
-    double-and-add on every registry curve."""
+    double-and-add on every registry curve.  The comb reads k mod n, which is
+    exact on these validated curves: one table of G per curve serves scalars
+    of n and above too.  No other path reduces by n."""
 
     @staticmethod
     def make_case(name):
@@ -445,11 +456,12 @@ class TestValidateCurve:
         with pytest.raises(ValueError, match="not prime"):
             validate_curve(broken)
 
-    @pytest.mark.parametrize("name", ("p256", "k163", "k233"))
+    @pytest.mark.parametrize("name", ("p256", "ed25519", "b163", "k163", "k233"))
     def test_wrong_order_rejected_on_registry_curve(self, name):
-        # the comb computes n * G exactly, never reducing the scalar mod n, and
-        # the tau-adic NAF reduces it modulo tau^m - 1, derived without n:
-        # with n replaced by another prime, n * G is not neutral
+        # the check is (n - 1) * G = -G: the comb reads (n - 1) mod n = n - 1
+        # with n the claimed order, and the tau-adic NAF reduces modulo
+        # tau^m - 1, derived without n, so both compute (n - 1) * G exactly; with
+        # n replaced by a smaller prime, that is not -G
         curve = get_curve(name)
         other = curve.n - 2
         while not is_probable_prime(other):

@@ -2,7 +2,8 @@
 
 Both schemes are generic over any CurveSpec, whatever its form: ECDSA runs
 on Edwards curves and EdDSA on Weierstrass or Koblitz curves just as well as
-on their conventional forms.
+on their conventional forms.  ECDSA is DSA's (r, s) scheme over the curve's
+order-n group, and reuses ff_signatures' equations and nonce loop.
 
 The EdDSA variant here derives its nonce as r = H(H(m) || m) reduced mod n,
 computes the challenge h from the x coordinates of R and the public key plus
@@ -23,9 +24,9 @@ from .curves import (
     negate,
     scalar_mul,
 )
-from .errors import MissingPrivateKeyError
-from .hashing import digest, digest_to_int, select_hash_for_order, verify_hash
-from .numeric import RngHandle, is_int_pair, mod_inv, rand_below
+from .ff_signatures import DsaSignature, dsa_sign_equation, dsa_nonce_loop, dsa_verify_equation
+from .hashing import digest, digest_to_int, select_hash_for_order, sign_hash, verify_hash
+from .numeric import RngHandle, is_int_pair, rand_below
 
 
 @dataclass(frozen=True)
@@ -51,11 +52,6 @@ class EcKey:
         return EcKey(curve=self.curve, q=self.q)
 
 
-class EcdsaSignature(NamedTuple):
-    r: int
-    s: int
-
-
 class EddsaSignature(NamedTuple):
     R: Point
     s: int
@@ -67,31 +63,20 @@ def ec_keygen(curve: CurveSpec, rng: RngHandle) -> EcKey:
     return EcKey(curve=curve, q=scalar_mul(ka, curve.g, curve), ka=ka)
 
 
-def ecdsa_sign_digest(key: EcKey, hm: int, k_r: int) -> Optional[EcdsaSignature]:
-    """(r, s) for the digest integer and nonce k_r; None when r or s is 0."""
-    if key.ka is None:
-        raise MissingPrivateKeyError("ECDSA signing requires the private scalar")
+def _x(point: Optional[Point]) -> int:
+    """The x coordinate, 0 at infinity; Edwards' neutral (0, 1) has x = 0 already."""
+    return 0 if point is None else point.x
+
+
+def ecdsa_sign_digest(key: EcKey, hm: int, k_r: int) -> Optional[DsaSignature]:
+    """DSA's (r, s) over the curve, committing to the x coordinate of k_r*G."""
     curve = key.curve
-    big_r = scalar_mul(k_r, curve.g, curve)
-    if is_neutral(big_r, curve):
-        return None
-    r = big_r.x % curve.n
-    if r == 0:
-        return None
-    s = (hm + r * key.ka) * mod_inv(k_r, curve.n) % curve.n
-    if s == 0:
-        return None
-    return EcdsaSignature(r, s)
+    return dsa_sign_equation(curve.n, key.ka, lambda k: _x(scalar_mul(k, curve.g, curve)), hm, k_r)
 
 
-def ecdsa_sign(key: EcKey, message: bytes, rng: RngHandle) -> EcdsaSignature:
+def ecdsa_sign(key: EcKey, message: bytes, rng: RngHandle) -> DsaSignature:
     """Sign with a fresh random nonce per call; nonce reuse leaks the key."""
-    hm = digest_to_int(message, key.hash_name, key.curve.n)
-    while True:
-        k_r = rand_below(key.curve.n, rng)
-        sig = ecdsa_sign_digest(key, hm, k_r)
-        if sig is not None:
-            return sig
+    return dsa_nonce_loop(key, key.curve.n, ecdsa_sign_digest, message, rng)
 
 
 def _public_point_ok(key: EcKey) -> bool:
@@ -99,21 +84,14 @@ def _public_point_ok(key: EcKey) -> bool:
     return is_on_curve(key.q, key.curve) and not is_neutral(key.q, key.curve)
 
 
-def ecdsa_verify_digest(key: EcKey, hm: int, sig: EcdsaSignature) -> bool:
+def ecdsa_verify_digest(key: EcKey, hm: int, sig: DsaSignature) -> bool:
     curve = key.curve
-    if not is_int_pair(sig):
+    if not _public_point_ok(key):
         return False
-    r, s = sig
-    if not (0 < r < curve.n and 0 < s < curve.n and _public_point_ok(key)):
-        return False
-    w = mod_inv(s, curve.n)
-    total = mul_add(hm * w % curve.n, curve.g, r * w % curve.n, key.q, curve)
-    if is_neutral(total, curve):
-        return False
-    return total.x % curve.n == r
+    return dsa_verify_equation(curve.n, lambda u1, u2: _x(mul_add(u1, curve.g, u2, key.q, curve)), hm, sig)
 
 
-def ecdsa_verify(key: EcKey, message: bytes, sig: EcdsaSignature) -> bool:
+def ecdsa_verify(key: EcKey, message: bytes, sig: DsaSignature) -> bool:
     alg = verify_hash(key)
     if alg is None:
         return False
@@ -142,9 +120,7 @@ def eddsa_challenge(curve: CurveSpec, big_r: Point, public: Point, message: byte
 
 
 def eddsa_sign(key: EcKey, message: bytes) -> EddsaSignature:
-    if key.ka is None:
-        raise MissingPrivateKeyError("EdDSA signing requires the private scalar")
-    curve, alg = key.curve, key.hash_name
+    curve, alg = key.curve, sign_hash(key)
     r = eddsa_nonce(curve, message, alg)
     big_r = scalar_mul(r, curve.g, curve)
     h = eddsa_challenge(curve, big_r, key.q, message, alg)

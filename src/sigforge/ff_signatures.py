@@ -4,7 +4,9 @@ RSA signs the bare digest integer (no padding scheme) and is therefore a
 faithful textbook construction, not a production-hardened one.  It signs by
 the Chinese remainder theorem over the two primes of n and checks every
 signature against e before returning it.  DSA follows
-the classic (r, s) construction over a prime-order subgroup of Z_p*.
+the classic (r, s) construction over a prime-order subgroup of Z_p*; its
+signing and verification equations and its nonce loop are written once, for
+any group of prime order q, and ECDSA reuses them over a curve.
 
 The ``*_sign_digest`` / ``*_verify_digest`` variants take the already-reduced
 digest integer (and, for DSA, the nonce) directly; the plain ``sign``/
@@ -14,10 +16,10 @@ algorithm first.
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import MissingPrivateKeyError, NotInvertibleError, SignatureCheckError
-from .hashing import digest_to_int, select_hash_for_modulus, verify_hash
+from .hashing import digest_to_int, select_hash_for_modulus, sign_hash, verify_hash
 from .numeric import (
     RngHandle,
     gen_prime,
@@ -30,6 +32,7 @@ from .numeric import (
 )
 
 RSA_PUBLIC_EXPONENT = 65537
+DSA_MAX_SUBGROUP_BITS = 512  # the widest digest the hash rule names
 
 # Bases tried when factoring n from e and d: the 25 primes below 100.  A
 # random base splits a two-prime n with probability at least 1/2 (HAC 8.2.2),
@@ -197,7 +200,7 @@ def rsa_sign_digest(key: RsaKey, hm: int) -> int:
 
 
 def rsa_sign(key: RsaKey, message: bytes) -> int:
-    return rsa_sign_digest(key, digest_to_int(message, key.hash_name, key.n))
+    return rsa_sign_digest(key, digest_to_int(message, sign_hash(key), key.n))
 
 
 def rsa_verify_digest(key: RsaKey, hm: int, signature: int) -> bool:
@@ -220,8 +223,8 @@ def dsa_paramgen(L: int, N: int, rng: RngHandle) -> DsaParams:
     p = q*t + 1 is an L-bit prime; g = h^((p-1)/q) for the first h >= 2
     that gives g != 1.
     """
-    if N < 8:
-        raise ValueError("subgroup size N must be >= 8 bits")
+    if not 8 <= N <= DSA_MAX_SUBGROUP_BITS:
+        raise ValueError(f"subgroup size N must be 8 to {DSA_MAX_SUBGROUP_BITS} bits")
     if L <= N:
         raise ValueError("modulus size L must exceed subgroup size N")
     q = gen_prime(N, rng)
@@ -252,36 +255,32 @@ def dsa_keygen(params: DsaParams, rng: RngHandle) -> DsaKey:
     return DsaKey(params=params, y=y, x=x)
 
 
-def dsa_sign_digest(key: DsaKey, hm: int, k: int) -> Optional[DsaSignature]:
-    """(r, s) for the digest integer and nonce k; None when r or s is 0
-    (the caller redraws k)."""
-    if key.x is None:
-        raise MissingPrivateKeyError("DSA signing requires the private exponent x")
-    p, q, g = key.params.p, key.params.q, key.params.g
-    r = mod_exp(g, k, p) % q
+def dsa_sign_equation(q: int, x: Optional[int], commit: Callable, hm: int, k: int) -> Optional[DsaSignature]:
+    """r = commit(k) mod q and s = (hm + x*r)/k mod q in a group of prime order q,
+    as DSA (g^k mod p) and ECDSA (the x of k*G) commit; None when r or s is 0."""
+    if x is None:
+        raise MissingPrivateKeyError("signing requires the private key")
+    r = commit(k) % q
     if r == 0:
         return None
-    s = (hm + key.x * r) * mod_inv(k, q) % q
+    s = (hm + x * r) * mod_inv(k, q) % q
     if s == 0:
         return None
     return DsaSignature(r, s)
 
 
-def dsa_sign(key: DsaKey, message: bytes, rng: RngHandle) -> DsaSignature:
-    # checked before hashing too: the hash rule refuses a modulus under 512 bits
-    # before the first draw would reach dsa_sign_digest's check
-    if key.x is None:
-        raise MissingPrivateKeyError("DSA signing requires the private exponent x")
-    hm = digest_to_int(message, key.hash_name, key.params.q)
+def dsa_nonce_loop(key, q: int, sign_digest: Callable, message: bytes, rng: RngHandle) -> DsaSignature:
+    """Hash the message, then draw k in [1, q) until sign_digest(key, hm, k) gives a signature."""
+    hm = digest_to_int(message, sign_hash(key), q)
     while True:
-        k = rand_below(key.params.q, rng)
-        sig = dsa_sign_digest(key, hm, k)
+        sig = sign_digest(key, hm, rand_below(q, rng))
         if sig is not None:
             return sig
 
 
-def dsa_verify_digest(key: DsaKey, hm: int, sig: DsaSignature) -> bool:
-    p, q, g = key.params.p, key.params.q, key.params.g
+def dsa_verify_equation(q: int, combine: Callable, hm: int, sig) -> bool:
+    """Whether 0 < r, s < q and combine(hm/s, r/s) mod q == r: g^u1 * y^u2 mod p
+    for DSA, the x of u1*G + u2*Q for ECDSA."""
     if not is_int_pair(sig):
         return False
     r, s = sig
@@ -290,10 +289,21 @@ def dsa_verify_digest(key: DsaKey, hm: int, sig: DsaSignature) -> bool:
     if not (0 < r < q and 0 < s < q and math.gcd(s, q) == 1):
         return False
     w = mod_inv(s, q)
-    u1 = hm * w % q
-    u2 = r * w % q
-    v = mod_exp(g, u1, p) * mod_exp(key.y, u2, p) % p % q
-    return v == r
+    return combine(hm * w % q, r * w % q) % q == r
+
+
+def dsa_sign_digest(key: DsaKey, hm: int, k: int) -> Optional[DsaSignature]:
+    p, g = key.params.p, key.params.g
+    return dsa_sign_equation(key.params.q, key.x, lambda k: mod_exp(g, k, p), hm, k)
+
+
+def dsa_sign(key: DsaKey, message: bytes, rng: RngHandle) -> DsaSignature:
+    return dsa_nonce_loop(key, key.params.q, dsa_sign_digest, message, rng)
+
+
+def dsa_verify_digest(key: DsaKey, hm: int, sig: DsaSignature) -> bool:
+    p, g, y = key.params.p, key.params.g, key.y
+    return dsa_verify_equation(key.params.q, lambda u1, u2: mod_exp(g, u1, p) * mod_exp(y, u2, p) % p, hm, sig)
 
 
 def dsa_verify(key: DsaKey, message: bytes, sig: DsaSignature) -> bool:

@@ -10,6 +10,8 @@ by modular reduction.
 import hashlib
 from typing import Optional
 
+from .errors import MissingPrivateKeyError
+
 SHA160 = "sha160"
 SHA224 = "sha224"
 SHA256 = "sha256"
@@ -59,6 +61,14 @@ def select_hash_for_order(order_bits: int) -> str:
     if order_bits >= 160:
         return SHA224
     return SHA160
+
+
+def sign_hash(key) -> str:
+    """The key's ``hash_name`` for signing: a public-only key raises
+    MissingPrivateKeyError before the rule can refuse the key's size."""
+    if not key.has_private:
+        raise MissingPrivateKeyError("signing requires the private key")
+    return key.hash_name
 
 
 def verify_hash(key) -> Optional[str]:

@@ -15,7 +15,6 @@ from typing import Callable, Tuple
 
 from .curves import Point, is_neutral, is_on_curve, scalar_mul
 from .ec_signatures import (
-    EcdsaSignature,
     EcKey,
     EddsaSignature,
     ec_keygen,
@@ -26,6 +25,7 @@ from .ec_signatures import (
 )
 from .errors import KeyFileError, UnknownCurveError
 from .ff_signatures import (
+    DSA_MAX_SUBGROUP_BITS,
     DsaKey,
     DsaParams,
     DsaSignature,
@@ -93,8 +93,8 @@ def _parse_rsa_key(n, e, d=None):
     if n < 3 or n % 2 == 0:
         raise KeyFileError("field 'n' is not a valid RSA modulus")
     _check_modulus_size("n", n)
-    if not (2 < e < n) or e % 2 == 0:
-        raise KeyFileError("field 'e' is out of range")
+    if not (2 < e < min(n, 1 << 256)) or e % 2 == 0:  # FIPS 186-5's bound, which caps verify's work
+        raise KeyFileError("field 'e' is out of range: odd, above 2, below n and 2^256")
     if d is not None and not 0 < d < n:
         raise KeyFileError("field 'd' is out of range")
     try:
@@ -113,6 +113,9 @@ def _parse_dsa_key(p, q, g, y, x=None):
     if not 2 < q < p:
         raise KeyFileError("fields 'p', 'q' are out of range")
     _check_modulus_size("p", p)
+    # before g^q mod p, which a hostile q = (p - 1)/2 makes a full-size exponentiation
+    if q.bit_length() > DSA_MAX_SUBGROUP_BITS:
+        raise KeyFileError(f"field 'q' is wider than {DSA_MAX_SUBGROUP_BITS} bits")
     if (p - 1) % q != 0:
         raise KeyFileError("field 'q' does not divide p - 1")
     if not 2 <= g < p - 1 or mod_exp(g, q, p) != 1:
@@ -164,6 +167,9 @@ def _ec_scheme(default_curve, **entries):
     )
 
 
+# DSA and ECDSA: one (r, s) signature type and file layout
+_DSA_SIGNATURE = dict(sig_fields=("r", "s"), sig_ints=lambda sig: (sig.r, sig.s), sig_from_ints=DsaSignature)
+
 SCHEMES = {
     "rsa": Scheme(
         keygen=lambda rng, bits, curve: rsa_keygen(bits or DEFAULT_BITS, rng),
@@ -185,17 +191,13 @@ SCHEMES = {
         key_fields=("p", "q", "g", "y", "x"),
         key_ints=lambda key: (key.params.p, key.params.q, key.params.g, key.y, key.x),
         parse_key=_parse_dsa_key,
-        sig_fields=("r", "s"),
-        sig_ints=lambda sig: (sig.r, sig.s),
-        sig_from_ints=DsaSignature,
+        **_DSA_SIGNATURE,
     ),
     "ecdsa": _ec_scheme(
         "secp256k1",
         sign=lambda key, message, rng: ecdsa_sign(key, message, rng),
         verify=lambda key, message, sig: ecdsa_verify(key, message, sig),
-        sig_fields=("r", "s"),
-        sig_ints=lambda sig: (sig.r, sig.s),
-        sig_from_ints=EcdsaSignature,
+        **_DSA_SIGNATURE,
     ),
     "eddsa": _ec_scheme(
         "ed25519",

@@ -3,7 +3,6 @@ import pytest
 from sigforge import ec_signatures
 from sigforge.curves import Point, negate, point_add, scalar_mul
 from sigforge.ec_signatures import (
-    EcdsaSignature,
     EcKey,
     EddsaSignature,
     ec_keygen,
@@ -18,11 +17,12 @@ from sigforge.ec_signatures import (
     eddsa_verify,
 )
 from sigforge.errors import MissingPrivateKeyError
+from sigforge.ff_signatures import DsaSignature
 from sigforge.hashing import digest_to_int, select_hash_for_order
 from sigforge.numeric import RngHandle, mod_inv
 from sigforge.registry import get_curve
 
-from conftest import TOY_W17
+from conftest import TOY_ED13, TOY_K16, TOY_W17
 
 
 def toy_key(ka):
@@ -59,30 +59,40 @@ class TestEcdsaToyVector:
         sig = ecdsa_sign_digest(key, 4, 3)
         expected_r = table[3].x % 19
         expected_s = (4 + expected_r * 7) * mod_inv(3, 19) % 19
-        assert sig == EcdsaSignature(expected_r, expected_s)
-        assert sig == EcdsaSignature(10, 12)
+        assert sig == DsaSignature(expected_r, expected_s)
+        assert sig == DsaSignature(10, 12)
 
     def test_verify_known_answer(self):
         key = toy_key(7)
-        assert ecdsa_verify_digest(key, 4, EcdsaSignature(10, 12))
+        assert ecdsa_verify_digest(key, 4, DsaSignature(10, 12))
 
     def test_wrong_s_rejected(self):
         key = toy_key(7)
         for s in range(1, 19):
             if s in (12, 19 - 12):
                 continue  # (r, n-s) is the valid malleable twin: same R_x
-            assert not ecdsa_verify_digest(key, 4, EcdsaSignature(10, s))
+            assert not ecdsa_verify_digest(key, 4, DsaSignature(10, s))
 
     def test_signature_malleability_twin(self):
         # without low-s normalization, (r, -s) verifies: -R shares R_x
         key = toy_key(7)
-        assert ecdsa_verify_digest(key, 4, EcdsaSignature(10, 19 - 12))
+        assert ecdsa_verify_digest(key, 4, DsaSignature(10, 19 - 12))
 
     def test_range_rules(self):
         key = toy_key(7)
-        assert not ecdsa_verify_digest(key, 4, EcdsaSignature(0, 12))
-        assert not ecdsa_verify_digest(key, 4, EcdsaSignature(10, 0))
-        assert not ecdsa_verify_digest(key, 4, EcdsaSignature(10, 19))
+        assert not ecdsa_verify_digest(key, 4, DsaSignature(0, 12))
+        assert not ecdsa_verify_digest(key, 4, DsaSignature(10, 0))
+        assert not ecdsa_verify_digest(key, 4, DsaSignature(10, 19))
+
+    @pytest.mark.parametrize("curve", (TOY_W17, TOY_ED13, TOY_K16), ids=lambda curve: curve.name)
+    def test_neutral_sum_never_verifies(self, curve):
+        # hm = -r*ka makes u1*G + u2*Q neutral for every s; its x reads as 0,
+        # which no r in [1, n) matches
+        n, ka = curve.n, 2
+        key = EcKey(curve, scalar_mul(ka, curve.g, curve), ka)
+        for r in range(1, n):
+            for s in range(1, n):
+                assert not ecdsa_verify_digest(key, -r * ka % n, DsaSignature(r, s))
 
 
 class TestEcdsaAlgebra:
@@ -259,7 +269,7 @@ class TestOffCurvePublicKey:
 
         monkeypatch.setattr(ec_signatures, "scalar_mul", no_scalar_mul)
         monkeypatch.setattr(ec_signatures, "mul_add", no_scalar_mul)
-        assert ecdsa_verify(key, b"m", EcdsaSignature(1, 1)) is False
+        assert ecdsa_verify(key, b"m", DsaSignature(1, 1)) is False
         assert eddsa_verify(key, b"m", EddsaSignature(curve.g, 5)) is False
 
     @pytest.mark.parametrize(
@@ -275,7 +285,7 @@ class TestOffCurvePublicKey:
         message = b"signed by no one"
         k = 12345
         hm = digest_to_int(message, select_hash_for_order(curve.n.bit_length()), curve.n)
-        forged_ecdsa = EcdsaSignature(
+        forged_ecdsa = DsaSignature(
             scalar_mul(k, curve.g, curve).x % curve.n, hm * mod_inv(k, curve.n) % curve.n
         )
         forged_eddsa = EddsaSignature(scalar_mul(k, curve.g, curve), k)

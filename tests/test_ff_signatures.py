@@ -217,6 +217,8 @@ class TestDsaParamgen:
     def test_size_validation(self):
         with pytest.raises(ValueError):
             dsa_paramgen(160, 160, RngHandle(0))
+        with pytest.raises(ValueError, match="subgroup size"):
+            dsa_paramgen(4096, 513, RngHandle(0))
 
 
 class TestDsaKeygen:

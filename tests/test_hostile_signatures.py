@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from sigforge.cryptosystem import generate_key, sign_message, verify_message
 from sigforge.curves import Point, scalar_mul
-from sigforge.ec_signatures import EcdsaSignature, EcKey, EddsaSignature
+from sigforge.ec_signatures import EcKey, EddsaSignature
+from sigforge.errors import MissingPrivateKeyError
 from sigforge.ff_signatures import DsaKey, DsaParams, DsaSignature, RsaKey
 from sigforge.numeric import RngHandle
 
@@ -95,7 +96,7 @@ def test_dsa(signed, r, s, keep):
 @given(r=PARTS, s=PARTS, keep=st.sampled_from(("r", "s", None)))
 def test_ecdsa(signed, r, s, keep):
     key, good = signed["ecdsa"]
-    sig = EcdsaSignature(good.r if keep == "r" else r, good.s if keep == "s" else s)
+    sig = DsaSignature(good.r if keep == "r" else r, good.s if keep == "s" else s)
     assert_bool_in_bounded_time("ecdsa", key, sig)
 
 
@@ -121,8 +122,8 @@ def test_eddsa(signed, rx, ry, s, keep, as_point):
         ("rsa", lambda good: float(good)),
         ("dsa", lambda good: DsaSignature(float(good.r), good.s)),
         ("dsa", lambda good: DsaSignature(good.r, "1")),
-        ("ecdsa", lambda good: EcdsaSignature(1.0, 2)),
-        ("ecdsa", lambda good: EcdsaSignature(good.r, (1, 2))),
+        ("ecdsa", lambda good: DsaSignature(1.0, 2)),
+        ("ecdsa", lambda good: DsaSignature(good.r, (1, 2))),
         ("eddsa", lambda good: EddsaSignature(("a", "b"), 5)),
         ("eddsa", lambda good: EddsaSignature(good.R, 5.0)),
         ("eddsa", lambda good: EddsaSignature(good.R, float(good.s))),
@@ -162,7 +163,7 @@ _TOY_POINT = scalar_mul(3, TOY_W17.g, TOY_W17)
 SMALL_KEYS = {
     "rsa": (RsaKey(n=3233, e=17, d=2753), 5),
     "dsa": (DsaKey(DsaParams(p=23, q=11, g=4), y=18, x=3), DsaSignature(1, 2)),
-    "ecdsa": (EcKey(TOY_W17, _TOY_POINT, 3), EcdsaSignature(1, 2)),
+    "ecdsa": (EcKey(TOY_W17, _TOY_POINT, 3), DsaSignature(1, 2)),
     "eddsa": (EcKey(TOY_W17, _TOY_POINT, 3), EddsaSignature(TOY_W17.g, 2)),
 }
 
@@ -174,3 +175,10 @@ def test_key_size_the_hash_rule_refuses(algorithm):
     assert assert_bool_in_bounded_time(algorithm, key.public_only(), sig) is False
     with pytest.raises(ValueError, match="too small"):
         sign_message(algorithm, key, MESSAGE, RngHandle(1))
+
+
+@pytest.mark.parametrize("algorithm", tuple(SMALL_KEYS))
+def test_public_only_key_refused_before_the_hash_rule(algorithm):
+    key, _ = SMALL_KEYS[algorithm]
+    with pytest.raises(MissingPrivateKeyError):
+        sign_message(algorithm, key.public_only(), MESSAGE, RngHandle(1))

@@ -5,9 +5,8 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sigforge import ff_signatures, numeric
+from sigforge import ff_signatures, numeric, schemes
 from sigforge.ec_signatures import (
-    EcdsaSignature,
     EddsaSignature,
     ec_keygen,
     ecdsa_sign,
@@ -263,6 +262,33 @@ class TestKeyValidation:
         algorithm, key = parse_key(text)
         assert verify_message(algorithm, key, b"m", DsaSignature(1, 3)) is False
 
+    def test_dsa_subgroup_wider_than_512_bits_refused_before_exponentiating(self, monkeypatch):
+        # q = (p - 1)/2 on an 8192-bit p: checking g^q = 1 would be an
+        # 8190-bit exponentiation of an 8192-bit number
+        q = (1 << 8190) + 1
+        text = f"sigforge-key v1\nalgorithm: dsa\ntype: public\np: {2 * q + 1}\nq: {q}\ng: 4\ny: 16\n"
+
+        def no_mod_exp(*args):
+            raise AssertionError("exponentiation before the width of q was checked")
+
+        monkeypatch.setattr(schemes, "mod_exp", no_mod_exp)
+        with pytest.raises(KeyFileError, match="field 'q' is wider than 512 bits"):
+            parse_key(text)
+
+    @pytest.mark.parametrize(
+        "e,accepted",
+        (((1 << 256) - 1, True), ((1 << 256) + 1, False), ((1 << 2047) + 1, False)),
+        ids=("2^256-1", "2^256+1", "2048-bit"),
+    )
+    def test_rsa_public_exponent_below_2_to_256(self, e, accepted):
+        n = (1 << 4095) + 1  # odd and 4096 bits wide: a public file checks no more of n
+        text = f"sigforge-key v1\nalgorithm: rsa\ntype: public\nn: {n}\ne: {e}\n"
+        if accepted:
+            assert parse_key(text) == ("rsa", RsaKey(n=n, e=e))
+        else:
+            with pytest.raises(KeyFileError, match="field 'e' is out of range"):
+                parse_key(text)
+
     def test_dsa_invariants_enforced(self, keys):
         key = keys["dsa"]
         text = render_key("dsa", key, public_only=True)
@@ -319,7 +345,7 @@ class TestSignatureFiles:
         assert import_signature(tmp_path / "s.txt") == ("dsa", sig)
 
     def test_ecdsa_roundtrip(self, tmp_path):
-        sig = EcdsaSignature(55, 66)
+        sig = DsaSignature(55, 66)
         export_signature("ecdsa", sig, tmp_path / "s.txt")
         assert import_signature(tmp_path / "s.txt") == ("ecdsa", sig)
 

@@ -72,10 +72,6 @@ def is_irreducible(poly: int) -> bool:
     if m < 1 or not poly & 1:
         return False
     ring = BinaryField(m, poly)
-
-    def square_mod(t):
-        return ring._reduce(_poly_square(t))
-
     factors = []
     k, f = m, 2
     while f * f <= k:
@@ -91,12 +87,12 @@ def is_irreducible(poly: int) -> bool:
     for r in factors:
         t = x
         for _ in range(m // r):
-            t = square_mod(t)
+            t = ring.square(t)
         if _poly_gcd(t ^ x, poly) != 1:
             return False
     t = x
     for _ in range(m):
-        t = square_mod(t)
+        t = ring.square(t)
     return t == x
 
 

@@ -94,17 +94,16 @@ def is_on_curve(point: PointLike, curve: CurveSpec) -> bool:
     if point is None:
         return curve.form != EDWARDS
     x, y = point
+    size = curve.field_size
+    if not (0 <= x < size and 0 <= y < size):
+        return False
     if curve.form == KOBLITZ:
         f = curve.field
-        if not (0 <= x < f.size and 0 <= y < f.size):
-            return False
         lhs = f.mul(y, y) ^ f.mul(x, y)
         x2 = f.mul(x, x)
         rhs = f.mul(x2, x) ^ f.mul(curve.a, x2) ^ curve.b
         return lhs == rhs
     p = curve.field
-    if not (0 <= x < p and 0 <= y < p):
-        return False
     if curve.form == WEIERSTRASS:
         return (y * y - (x * x * x + curve.a * x + curve.b)) % p == 0
     # edwards: a*x^2 + y^2 == 1 + d*x^2*y^2

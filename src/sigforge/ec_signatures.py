@@ -25,7 +25,7 @@ from .curves import (
     scalar_mul,
 )
 from .ff_signatures import DsaSignature, dsa_sign_equation, dsa_nonce_loop, dsa_verify_equation
-from .hashing import digest, digest_to_int, select_hash_for_order, sign_hash, verify_hash
+from .hashing import digest, digest_to_int, select_hash_for_order, sign_hash, verify_hash, verify_hashed
 from .numeric import RngHandle, is_int_pair, rand_below
 
 
@@ -80,8 +80,8 @@ def ecdsa_sign(key: EcKey, message: bytes, rng: RngHandle) -> DsaSignature:
 
 
 def _public_point_ok(key: EcKey) -> bool:
-    """The rule key files are held to on import: on the curve, not the neutral element."""
-    return is_on_curve(key.q, key.curve) and not is_neutral(key.q, key.curve)
+    """The rule key files are held to on import: an int pair on the curve, not the neutral element."""
+    return is_int_pair(key.q) and is_on_curve(key.q, key.curve) and not is_neutral(key.q, key.curve)
 
 
 def ecdsa_verify_digest(key: EcKey, hm: int, sig: DsaSignature) -> bool:
@@ -92,10 +92,7 @@ def ecdsa_verify_digest(key: EcKey, hm: int, sig: DsaSignature) -> bool:
 
 
 def ecdsa_verify(key: EcKey, message: bytes, sig: DsaSignature) -> bool:
-    alg = verify_hash(key)
-    if alg is None:
-        return False
-    return ecdsa_verify_digest(key, digest_to_int(message, alg, key.curve.n), sig)
+    return verify_hashed(ecdsa_verify_digest, key, message, key.curve.n, sig)
 
 
 def eddsa_nonce(curve: CurveSpec, message: bytes, alg: str) -> int:

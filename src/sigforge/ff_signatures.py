@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .errors import MissingPrivateKeyError, NotInvertibleError, SignatureCheckError
-from .hashing import digest_to_int, select_hash_for_modulus, sign_hash, verify_hash
+from .hashing import digest_to_int, select_hash_for_modulus, sign_hash, verify_hashed
 from .numeric import (
     RngHandle,
     gen_prime,
@@ -194,7 +194,7 @@ def rsa_sign_digest(key: RsaKey, hm: int) -> int:
     s_p = mod_exp(hm, key.dp, key.p)
     s_q = mod_exp(hm, key.dq, key.q)
     s = s_q + key.q * ((s_p - s_q) * key.q_inv % key.p)
-    if mod_exp(s, key.e, key.n) != hm:
+    if not rsa_verify_digest(key, hm, s):
         raise SignatureCheckError("RSA signature failed its check against e; it was withheld")
     return s
 
@@ -204,16 +204,13 @@ def rsa_sign(key: RsaKey, message: bytes) -> int:
 
 
 def rsa_verify_digest(key: RsaKey, hm: int, signature: int) -> bool:
-    if not (isinstance(signature, int) and 0 <= signature < key.n):
+    if not (isinstance(signature, int) and 0 <= signature < key.n and key.e >= 0):
         return False
     return mod_exp(signature, key.e, key.n) == hm
 
 
 def rsa_verify(key: RsaKey, message: bytes, signature: int) -> bool:
-    alg = verify_hash(key)
-    if alg is None:
-        return False
-    return rsa_verify_digest(key, digest_to_int(message, alg, key.n), signature)
+    return verify_hashed(rsa_verify_digest, key, message, key.n, signature)
 
 
 def dsa_paramgen(L: int, N: int, rng: RngHandle) -> DsaParams:
@@ -303,11 +300,10 @@ def dsa_sign(key: DsaKey, message: bytes, rng: RngHandle) -> DsaSignature:
 
 def dsa_verify_digest(key: DsaKey, hm: int, sig: DsaSignature) -> bool:
     p, g, y = key.params.p, key.params.g, key.y
-    return dsa_verify_equation(key.params.q, lambda u1, u2: mod_exp(g, u1, p) * mod_exp(y, u2, p) % p, hm, sig)
+    return p >= 2 and dsa_verify_equation(
+        key.params.q, lambda u1, u2: mod_exp(g, u1, p) * mod_exp(y, u2, p) % p, hm, sig
+    )
 
 
 def dsa_verify(key: DsaKey, message: bytes, sig: DsaSignature) -> bool:
-    alg = verify_hash(key)
-    if alg is None:
-        return False
-    return dsa_verify_digest(key, digest_to_int(message, alg, key.params.q), sig)
+    return verify_hashed(dsa_verify_digest, key, message, key.params.q, sig)

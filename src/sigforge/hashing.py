@@ -1,14 +1,16 @@
 """Message digesting and automatic hash selection.
 
 Hash algorithms are named by their digest width: ``sha160`` (SHA-1),
-``sha224``, ``sha256``, ``sha384`` and ``sha512``.  The two selection rules
+``sha224``, ``sha256``, ``sha384`` and ``sha512``.  Two selection tables
 pick a hash from the RSA/DSA modulus size or from an elliptic curve's order
-size; messages are reduced to integers by leftmost-bits truncation followed
-by modular reduction.
+size, and one lookup reads both.  Messages are reduced to integers by
+leftmost-bits truncation followed by modular reduction.  ``verify_hashed``
+is the one hashed front end of RSA, DSA and ECDSA verification: False where
+the rule refuses the key, else the digest-level check.
 """
 
 import hashlib
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import MissingPrivateKeyError
 
@@ -28,39 +30,29 @@ _CONSTRUCTORS = {
 
 
 def digest_bits(alg: str) -> int:
-    if alg not in _CONSTRUCTORS:
-        raise ValueError(f"unknown hash algorithm {alg!r}")
-    return int(alg[3:])
+    return 8 * len(digest(b"", alg))
+
+
+# (fewest bits, hash) rows, largest first; a size below the last row is refused
+_MODULUS_TABLE = ((15360, SHA512), (7680, SHA384), (3072, SHA256), (2048, SHA224), (512, SHA160))
+_ORDER_TABLE = ((385, SHA512), (257, SHA384), (225, SHA256), (160, SHA224), (80, SHA160))
+
+
+def _lookup(table, bits: int, refusal: str) -> str:
+    for fewest, alg in table:
+        if bits >= fewest:
+            return alg
+    raise ValueError(refusal)
 
 
 def select_hash_for_modulus(bits: int) -> str:
     """Hash for an RSA/DSA modulus of the given bit size."""
-    if bits < 512:
-        raise ValueError(f"key size {bits} is too small (minimum 512 bits)")
-    if bits >= 15360:
-        return SHA512
-    if bits >= 7680:
-        return SHA384
-    if bits >= 3072:
-        return SHA256
-    if bits >= 2048:
-        return SHA224
-    return SHA160
+    return _lookup(_MODULUS_TABLE, bits, f"key size {bits} is too small (minimum 512 bits)")
 
 
 def select_hash_for_order(order_bits: int) -> str:
     """Hash for an elliptic curve whose base point order has the given bit size."""
-    if order_bits < 80:
-        raise ValueError(f"curve order of {order_bits} bits is too small (minimum 80)")
-    if order_bits > 384:
-        return SHA512
-    if order_bits > 256:
-        return SHA384
-    if order_bits > 224:
-        return SHA256
-    if order_bits >= 160:
-        return SHA224
-    return SHA160
+    return _lookup(_ORDER_TABLE, order_bits, f"curve order of {order_bits} bits is too small (minimum 80)")
 
 
 def sign_hash(key) -> str:
@@ -78,6 +70,15 @@ def verify_hash(key) -> Optional[str]:
         return key.hash_name
     except ValueError:
         return None
+
+
+def verify_hashed(check: Callable, key, message: bytes, modulus: int, signature) -> bool:
+    """check(key, hm, signature), with hm the message's digest reduced below
+    modulus; False where the rule refuses the key's size or modulus is below 2."""
+    alg = verify_hash(key)
+    if alg is None or modulus < 2:
+        return False
+    return check(key, digest_to_int(message, alg, modulus), signature)
 
 
 def digest(message: bytes, alg: str) -> bytes:

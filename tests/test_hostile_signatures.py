@@ -1,7 +1,8 @@
 """Verify on hostile input: any ints, huge or negative, and any non-ints in
 place of a signature part or of the whole signature give a bool, within
-bounded time, on all four algorithms, and so does a key whose size the hash
-rule refuses."""
+bounded time, on all four algorithms, and so do a key whose size the hash
+rule refuses and a directly built key with a negative modulus, order or
+exponent or a public point that is not an int pair."""
 
 import time
 
@@ -14,6 +15,7 @@ from sigforge.ec_signatures import EcKey, EddsaSignature
 from sigforge.errors import MissingPrivateKeyError
 from sigforge.ff_signatures import DsaKey, DsaParams, DsaSignature, RsaKey
 from sigforge.numeric import RngHandle
+from sigforge.registry import get_curve
 
 from conftest import TOY_W17
 
@@ -166,6 +168,26 @@ SMALL_KEYS = {
     "ecdsa": (EcKey(TOY_W17, _TOY_POINT, 3), DsaSignature(1, 2)),
     "eddsa": (EcKey(TOY_W17, _TOY_POINT, 3), EddsaSignature(TOY_W17.g, 2)),
 }
+
+
+# keys of sizes the hash rule accepts, with a value that key files refuse but
+# a caller can build directly: (algorithm, key factory, signature)
+_ODD_1024 = 2**1023 + 1
+_Q127 = 2**127 - 1  # prime
+HOSTILE_KEYS = {
+    "rsa n < 0": ("rsa", lambda: RsaKey(n=-_ODD_1024, e=65537), 5),
+    "rsa e < 0": ("rsa", lambda: RsaKey(n=_ODD_1024, e=-65537), 5),
+    "dsa p < 0": ("dsa", lambda: DsaKey(DsaParams(p=-_ODD_1024, q=_Q127, g=2), y=3), DsaSignature(1, 1)),
+    "dsa q < 0": ("dsa", lambda: DsaKey(DsaParams(p=_ODD_1024, q=-_Q127, g=2), y=3), DsaSignature(1, 1)),
+    "ecdsa p256 Q = 'ab'": ("ecdsa", lambda: EcKey(get_curve("p256"), "ab"), DsaSignature(1, 2)),
+    "ecdsa k163 Q = (1.0, 2.0)": ("ecdsa", lambda: EcKey(get_curve("k163"), Point(1.0, 2.0)), DsaSignature(1, 2)),
+}
+
+
+@pytest.mark.parametrize("case", tuple(HOSTILE_KEYS))
+def test_hostile_key_is_invalid(case):
+    algorithm, make_key, sig = HOSTILE_KEYS[case]
+    assert assert_bool_in_bounded_time(algorithm, make_key(), sig) is False
 
 
 @pytest.mark.parametrize("algorithm", tuple(SMALL_KEYS))

@@ -18,9 +18,15 @@ The arithmetic leans on the interpreter's integer and bytes primitives:
   terms, since x^m = poly - x^m modulo poly (Hankerson-Menezes-Vanstone,
   Guide to ECC, 2.3.5).  Each fold is one shift-and-XOR per term; the
   registry's trinomials and pentanomials need two or three folds.
+- The square root and the half-trace, which point halving needs, are
+  GF(2)-linear maps: each is a table of its values on every 4-bit window of
+  its operand, built on first use and kept on the field, and is applied as
+  one lookup per window.  The trace is the parity of the operand's bits
+  under a fixed mask.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import NotInvertibleError
 
@@ -28,6 +34,7 @@ _LANE_BITS = 255
 _LANE_MASK = (1 << _LANE_BITS) - 1
 _BIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
 _BYTE_PARITY = bytes(b"01"[i & 1] for i in range(256))
+_HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
 def _byte_per_bit(a: int) -> int:
@@ -51,6 +58,27 @@ def _clmul(a: int, b: int) -> int:
 def _poly_square(a: int) -> int:
     """Square in GF(2)[x]: coefficient of x^i moves to x^(2i)."""
     return int(format(a, "b"), 4)
+
+
+def _window_tables(columns) -> tuple:
+    """The GF(2)-linear map that sends x^i to columns[i], as one table per
+    4-bit window of its operand, most significant window first: entry v of a
+    window's table is the image of v placed at that window."""
+    tables = []
+    for j in range(0, len(columns), 4):
+        table = [0]
+        for column in columns[j : j + 4]:
+            table += [v ^ column for v in table]
+        tables.append(tuple(table))
+    return tuple(reversed(tables))
+
+
+def _apply_windows(tables: tuple, a: int) -> int:
+    """The image of a under _window_tables' map: one lookup per hex digit of a."""
+    out = 0
+    for table, v in zip(tables, format(a, f"0{len(tables)}x").encode("ascii").translate(_HEX_TO_NIBBLE)):
+        out ^= table[v]
+    return out
 
 
 def _poly_mod(value: int, poly: int) -> int:
@@ -138,6 +166,61 @@ class BinaryField:
 
     def square(self, a: int) -> int:
         return self._reduce(_poly_square(a))
+
+    def sqrt(self, a: int) -> int:
+        """The square root, a^(2^(m-1)); a must be an element."""
+        return _apply_windows(self._sqrt_tables, a)
+
+    def half_trace(self, a: int) -> int:
+        """A root z of z^2 + z = a + Tr(a), linear in a, as the half-trace is
+        for odd m; a must be an element.  Raises ValueError for even m."""
+        return _apply_windows(self._half_trace_tables[0], a)
+
+    def trace(self, a: int) -> int:
+        """Tr(a) = a + a^2 + a^4 + ... + a^(2^(m-1)), 0 or 1; a must be an element.
+        Raises ValueError for even m."""
+        return (a & self._half_trace_tables[1]).bit_count() & 1
+
+    @cached_property
+    def _sqrt_tables(self) -> tuple:
+        # sqrt(x^2i) = x^i and sqrt(x^(2i+1)) = x^i * sqrt(x)
+        root_x = 2
+        for _ in range(self.m - 1):
+            root_x = self.square(root_x)
+        columns = [self._reduce(root_x << (i >> 1)) if i & 1 else 1 << (i >> 1) for i in range(self.m)]
+        return _window_tables(columns)
+
+    @cached_property
+    def _half_trace_tables(self) -> tuple:
+        """(tables, mask): the half-trace's window tables and the trace's bit
+        mask, from one GF(2) elimination.
+
+        z -> z^2 + z maps GF(2^m) onto the trace-0 elements; for odd m, Tr(1) = 1,
+        so those and 1 span the field.  Each row holds an image above bit m and
+        its preimage below, bit m standing for Tr: rows z^2 + z | z for z = x^j,
+        j >= 1, and 1 | Tr.  Reducing x^i against them leaves the preimage z_i
+        and the flag t_i with z_i^2 + z_i + t_i = x^i, so t_i = Tr(x^i).
+        """
+        m = self.m
+        if m % 2 == 0:
+            raise ValueError(f"the half-trace needs an odd extension degree, not {m}")
+        pivots = {}  # bit length of a row -> the row
+
+        def reduced(row):
+            while row >> (m + 1):
+                pivot = pivots.get(row.bit_length())
+                if pivot is None:
+                    break
+                row ^= pivot
+            return row
+
+        rows = [(self._reduce(1 << 2 * j) ^ 1 << j) << (m + 1) | 1 << j for j in range(1, m)]
+        for row in rows + [1 << (m + 1) | 1 << m]:
+            row = reduced(row)
+            pivots[row.bit_length()] = row
+        solutions = [reduced(1 << (i + m + 1)) for i in range(m)]
+        mask = sum((z >> m & 1) << i for i, z in enumerate(solutions))
+        return _window_tables([z & self._mask for z in solutions]), mask
 
     def inv(self, a: int) -> int:
         """Inverse via extended Euclid over GF(2)[x] (HMV Algorithm 2.48).

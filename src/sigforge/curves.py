@@ -24,7 +24,15 @@ map tau(x, y) = (x^2, y^2) replaces doubling in a width-w tau-adic NAF (Solinas
 2000), and the scalar is reduced modulo tau^m - 1, which fixes every point of
 E(GF(2^m)): exact for any scalar and any curve point, whatever n and h are.
 Elsewhere G's comb, one table per curve, reads k mod n, exact since
-validate_curve proves n*G neutral; any other point takes a width-w NAF of k.
+validate_curve proves n*G neutral, and still doubles.  Any other point takes a
+width-w NAF.  On the cofactor-2 binary curves -- koblitz form, h = 2, odd n
+and m, not anomalous: sect113r1, b163 and b233 in the registry -- point
+halving (Knudsen 1999; HMV Alg. 3.81) replaces doubling there: a half-trace, a
+multiply, a trace and a square root, no inversion, read over the NAF of
+k * 2^(t-1) mod n.  That reduction is exact only on the order-n subgroup 2E,
+where Tr(x) = Tr(a); a point outside it is P' + T with T = (0, sqrt(b)) of
+order 2 and P' in 2E, and k*P = k*P' + (k mod 2)*T.  Everywhere else the NAF
+is of k itself, with doubling between digits.
 """
 
 from dataclasses import dataclass
@@ -360,7 +368,7 @@ FIXED_BASE_TABLES = 128
 def _horner(digits, table, step, c, curve):
     """The sum of step^i(table[u_i]) over the digits u_i, given least significant
     first, by Horner's rule; a zero digit adds nothing.  Every scalar
-    multiplication is this loop, with step the form's doubling or tau."""
+    multiplication is this loop, with step the form's doubling, tau or halving."""
     acc = c.neutral
     for u in reversed(digits):
         acc = step(acc, curve)
@@ -421,13 +429,101 @@ def _wnaf(k):
     return digits
 
 
-def _wnaf_mul(k, point, curve, c):
-    P = c.lift(point, curve)
+def _wnaf_table(P, c, curve):
+    """Signed-digit table of the odd multiples of P that width-WNAF_WIDTH NAF digits name."""
     twice = c.double(P, curve)
     odd = [P]  # odd[i] = (2i + 1) * P
     for _ in range((1 << (WNAF_WIDTH - 2)) - 1):
         odd.append(c.add(odd[-1], twice, curve))
-    return _horner(_wnaf(k), _signed_table(odd, c, curve), c.double, c, curve)
+    return _signed_table(odd, c, curve)
+
+
+def _wnaf_mul(k, point, curve, c):
+    P = c.lift(point, curve)
+    return _horner(_wnaf(k), _wnaf_table(P, c, curve), c.double, c, curve)
+
+
+# --- cofactor-2 binary curves: halve-and-add (Knudsen 1999; HMV 3.6) --------
+#
+# When h = 2 and n is odd, E(GF(2^m)) is cyclic of order 2n, so every point of
+# the order-n subgroup 2E has exactly one half in 2E; for odd m, a point
+# (x, y) != O lies in 2E iff Tr(x) = Tr(a), and Tr(a) = 1.  Halving costs a
+# half-trace, a multiply, a trace and a square root, and no inversion.  The
+# halves are kept in lambda-representation (x, lambda = x + y/x), from which
+# y = x(x + lambda) costs one multiply, paid only before an addition.
+
+
+class _Halved(NamedTuple):
+    x: int
+    lam: int
+
+
+def _halves(curve):
+    """Whether halving replaces doubling: koblitz form, h = 2, odd n and m, and
+    not anomalous; in the registry sect113r1, b163 and b233."""
+    return (
+        curve.form == KOBLITZ
+        and curve.h == 2
+        and curve.n % 2 == 1
+        and curve.field.m % 2 == 1
+        and not _is_anomalous(curve)
+    )
+
+
+def _unhalve(P, curve):
+    """Affine form of a _Halved point; any other point as it is."""
+    if type(P) is not _Halved:
+        return P
+    return Point(P.x, curve.field.mul(P.x, P.x ^ P.lam))
+
+
+def _halve(P, curve):
+    """The half of P in 2E, for P in 2E given affine or as _Halved (HMV Alg. 3.81).
+
+    lam solves lam^2 + lam = x + a, so the half Q = (u, v) has lambda_Q = lam
+    or lam + 1, and x = lambda_Q^2 + lambda_Q + a, y = u^2 + (lambda_Q + 1)x
+    give u^2 = t + x or t with t = y + x*lam; the choice is the one with
+    Tr(u) = Tr(a), which comes to Tr(t) = 0 for lambda_Q = lam.
+    """
+    if P is None:
+        return None
+    f, x = curve.field, P.x
+    lam = f.half_trace(x ^ curve.a)
+    if type(P) is _Halved:
+        t = f.mul(x, x ^ P.lam ^ lam)
+    else:
+        t = P.y ^ f.mul(x, lam)
+    if f.trace(t):
+        return _Halved(f.sqrt(t), lam ^ 1)
+    return _Halved(f.sqrt(t ^ x), lam)
+
+
+# _horner's view of halve-and-add: additions take the accumulator as _halve
+# left it and return affine points, which _halve also accepts
+_HALVING = SimpleNamespace(
+    neutral=None, add=lambda P, Q, curve: _add_koblitz(_unhalve(P, curve), Q, curve)
+)
+
+
+def _halving_mul(k, point, curve, c):
+    """k * point on a curve where _halves holds; point has passed _require_on_curve.
+
+    The digit of 2^i in the width-w NAF of k' = k * 2^(t-1) mod n, t = bits(n) + 1,
+    weighs 2^(i-t+1) in k mod n, so Horner's rule with halving between digits
+    reads the NAF from its least significant digit.  That reduction by n is
+    exact on 2E only: a point P outside it, Tr(x) != Tr(a), is P' + T with
+    T = (0, sqrt(b)) of order 2 and P' = P + T in 2E, and k*P = k*P' + (k mod 2)*T.
+    """
+    f = curve.field
+    T = None
+    if point is not None and f.trace(point.x) != f.trace(curve.a):
+        T = Point(0, f.sqrt(curve.b))
+        point = c.add(point, T, curve)
+    t = curve.n.bit_length() + 1
+    digits = _wnaf((k << (t - 1)) % curve.n)
+    digits = [0] * (t - len(digits)) + digits[::-1]
+    P = _unhalve(_horner(digits, _wnaf_table(point, c, curve), _halve, _HALVING, curve), curve)
+    return c.add(P, T, curve) if k & 1 else P
 
 
 # --- anomalous binary curves: tau-adic NAF (Solinas 2000; HMV 3.4) ----------
@@ -552,6 +648,8 @@ def _mul(k, point, curve, c):
         return _tnaf_mul(k, point, curve, c)
     if point == curve.g:
         return _comb_mul(k, curve, c)
+    if _halves(curve):
+        return _halving_mul(k, point, curve, c)
     return _wnaf_mul(k, point, curve, c)
 
 
@@ -563,7 +661,10 @@ def scalar_mul(k: int, point: PointLike, curve: CurveSpec) -> PointLike:
     as a width-w tau-adic NAF: multiples of ``curve.g`` read a table cached per
     curve, other points build theirs per call.  Elsewhere multiples of the base
     point read k mod n, exact once ``validate_curve`` has passed, through a comb
-    with one table cached per curve; any other point uses width-w NAF of k itself.
+    with one table cached per curve.  Any other point uses a width-w NAF: on
+    the cofactor-2 binary curves, of k * 2^(t-1) mod n with halving between
+    digits and a correction by the point of order 2 that keeps it exact on
+    every curve point; elsewhere, of k itself with doubling between digits.
     """
     c = _COORDS[curve.form]
     return c.to_affine(_mul(k, point, curve, c), curve)

@@ -22,6 +22,7 @@ from .errors import MissingPrivateKeyError, NotInvertibleError, SignatureCheckEr
 from .hashing import digest_to_int, select_hash_for_modulus, sign_hash, verify_hashed
 from .numeric import (
     RngHandle,
+    are_ints,
     gen_prime,
     is_int_pair,
     is_probable_prime,
@@ -32,6 +33,7 @@ from .numeric import (
 )
 
 RSA_PUBLIC_EXPONENT = 65537
+RSA_MAX_EXPONENT_BITS = 256  # FIPS 186-5 keeps e below 2^256, which caps verify's work
 DSA_MAX_SUBGROUP_BITS = 512  # the widest digest the hash rule names
 
 # Bases tried when factoring n from e and d: the 25 primes below 100.  A
@@ -204,9 +206,10 @@ def rsa_sign(key: RsaKey, message: bytes) -> int:
 
 
 def rsa_verify_digest(key: RsaKey, hm: int, signature: int) -> bool:
-    if not (isinstance(signature, int) and 0 <= signature < key.n and key.e >= 0):
+    n, e = key.n, key.e
+    if not (are_ints(signature, n, e) and 0 <= signature < n and 0 <= e < 1 << RSA_MAX_EXPONENT_BITS):
         return False
-    return mod_exp(signature, key.e, key.n) == hm
+    return mod_exp(signature, e, n) == hm
 
 
 def rsa_verify(key: RsaKey, message: bytes, signature: int) -> bool:
@@ -299,9 +302,9 @@ def dsa_sign(key: DsaKey, message: bytes, rng: RngHandle) -> DsaSignature:
 
 
 def dsa_verify_digest(key: DsaKey, hm: int, sig: DsaSignature) -> bool:
-    p, g, y = key.params.p, key.params.g, key.y
-    return p >= 2 and dsa_verify_equation(
-        key.params.q, lambda u1, u2: mod_exp(g, u1, p) * mod_exp(y, u2, p) % p, hm, sig
+    p, q, g, y = key.params.p, key.params.q, key.params.g, key.y
+    return are_ints(p, q, g, y) and p >= 2 and dsa_verify_equation(
+        q, lambda u1, u2: mod_exp(g, u1, p) * mod_exp(y, u2, p) % p, hm, sig
     )
 
 

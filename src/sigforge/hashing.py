@@ -74,9 +74,13 @@ def verify_hash(key) -> Optional[str]:
 
 def verify_hashed(check: Callable, key, message: bytes, modulus: int, signature) -> bool:
     """check(key, hm, signature), with hm the message's digest reduced below
-    modulus; False where the rule refuses the key's size or modulus is below 2."""
+    modulus; False where modulus is not an int of at least 2 or the rule
+    refuses the key's size.  The modulus is checked first: RSA's is n, from
+    which the key's size is read."""
+    if not (isinstance(modulus, int) and modulus >= 2):
+        return False
     alg = verify_hash(key)
-    if alg is None or modulus < 2:
+    if alg is None:
         return False
     return check(key, digest_to_int(message, alg, modulus), signature)
 

@@ -83,11 +83,14 @@ class RngHandle:
         return self._rng.getrandbits(k)
 
 
+def are_ints(*values) -> bool:
+    """Whether every value is an int; verify takes any key or signature a caller builds."""
+    return all(isinstance(value, int) for value in values)
+
+
 def is_int_pair(value) -> bool:
     """Whether value is a tuple or list of two ints; verify takes anything a caller passes."""
-    if not (isinstance(value, (tuple, list)) and len(value) == 2):
-        return False
-    return all(isinstance(part, int) for part in value)
+    return isinstance(value, (tuple, list)) and len(value) == 2 and are_ints(*value)
 
 
 def mod_exp(base: int, exponent: int, modulus: int) -> int:

@@ -26,6 +26,7 @@ from .ec_signatures import (
 from .errors import KeyFileError, UnknownCurveError
 from .ff_signatures import (
     DSA_MAX_SUBGROUP_BITS,
+    RSA_MAX_EXPONENT_BITS,
     DsaKey,
     DsaParams,
     DsaSignature,
@@ -93,7 +94,7 @@ def _parse_rsa_key(n, e, d=None):
     if n < 3 or n % 2 == 0:
         raise KeyFileError("field 'n' is not a valid RSA modulus")
     _check_modulus_size("n", n)
-    if not (2 < e < min(n, 1 << 256)) or e % 2 == 0:  # FIPS 186-5's bound, which caps verify's work
+    if not (2 < e < min(n, 1 << RSA_MAX_EXPONENT_BITS)) or e % 2 == 0:
         raise KeyFileError("field 'e' is out of range: odd, above 2, below n and 2^256")
     if d is not None and not 0 < d < n:
         raise KeyFileError("field 'd' is out of range")

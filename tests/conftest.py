@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import double_and_add, k_add, koblitz_points, trial_division_is_prime
 from sigforge.binary_field import BinaryField
 from sigforge.curves import EDWARDS, KOBLITZ, WEIERSTRASS, CurveSpec, Point
 
@@ -19,6 +20,27 @@ TOY_K16 = CurveSpec("toy-k16", KOBLITZ, GF16, 1, 8, Point(2, 12), 5, 4)
 GF32 = BinaryField(5, 0b100101)
 TOY_K32A0 = CurveSpec("toy-k32a0", KOBLITZ, GF32, 0, 1, Point(2, 29), 11, 4)
 TOY_K32A1 = CurveSpec("toy-k32a1", KOBLITZ, GF32, 1, 1, Point(8, 23), 11, 2)
+
+
+def find_cofactor_2_toy(field):
+    """The first curve y^2 + xy = x^3 + ax^2 + b over field, a and b outside
+    {0, 1}, with 2n points for an odd prime n, by brute-force point counting;
+    G is its first point of order n."""
+    m, poly = field.m, field.poly
+    for a in range(2, field.size):
+        for b in range(2, field.size):
+            points = koblitz_points(m, poly, a, b)
+            n, odd = divmod(len(points) + 1, 2)
+            if odd or n % 2 == 0 or not trial_division_is_prime(n):
+                continue
+            add = lambda P, Q: k_add(P, Q, m, poly, a)
+            g = next(P for P in points if double_and_add(n, P, add, None) is None)
+            return CurveSpec(f"toy-k{field.size}h2", KOBLITZ, field, a, b, Point(*g), n, 2)
+    raise ValueError(f"no cofactor-2 curve over GF(2^{m})")
+
+
+# cofactor 2 and not anomalous, so point halving replaces doubling
+TOY_K32H2 = find_cofactor_2_toy(GF32)
 
 
 @pytest.fixture

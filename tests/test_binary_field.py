@@ -171,3 +171,35 @@ class TestLargeFieldsAgainstOracle:
 
     def test_field_polynomials_are_irreducible(self, field):
         assert is_irreducible(field.poly)
+
+    def test_sqrt(self, field):
+        for a in _operands(field, 30, 4):
+            assert gf_mul_shift(field.sqrt(a), field.sqrt(a), field.poly) == a
+
+    def test_trace_and_half_trace(self, field):
+        # the half-trace tables exist for odd m only; the trace mask comes with them
+        if field.m % 2 == 0:
+            with pytest.raises(ValueError, match="odd extension degree"):
+                field.half_trace(1)
+            return
+        for a in _operands(field, 12, 5):
+            power = trace = a
+            for _ in range(field.m - 1):
+                power = gf_mul_shift(power, power, field.poly)
+                trace ^= power
+            assert field.trace(a) == trace
+            z = field.half_trace(a)
+            assert gf_mul_shift(z, z, field.poly) ^ z == a ^ trace
+
+
+def test_linear_maps_exhaustive_gf32():
+    gf32 = BinaryField(5, 0b100101)
+    for a in range(32):
+        power = trace = a
+        for _ in range(4):
+            power = gf_mul_naive(power, power, gf32.poly)
+            trace ^= power
+        assert gf32.trace(a) == trace
+        assert gf_mul_naive(gf32.sqrt(a), gf32.sqrt(a), gf32.poly) == a
+        z = gf32.half_trace(a)
+        assert gf_mul_naive(z, z, gf32.poly) ^ z == a ^ trace

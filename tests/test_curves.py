@@ -22,7 +22,7 @@ from sigforge.curves import (
 from sigforge.numeric import is_probable_prime
 from sigforge.registry import curve_names, get_curve
 
-from conftest import GF16, TOY_ED13, TOY_K16, TOY_K32A0, TOY_K32A1, TOY_W17
+from conftest import GF16, TOY_ED13, TOY_K16, TOY_K32A0, TOY_K32A1, TOY_K32H2, TOY_W17
 from oracles import (
     builtin_mod_inv,
     cyclic_table,
@@ -54,14 +54,15 @@ def _oracle_universe(curve):
     if curve is TOY_ED13:
         pts = edwards_points(13, 1, 7)
         return pts, lambda P, Q: ed_add(P, Q, 13, 1, 7)
-    assert curve in (TOY_K16, TOY_K32A0, TOY_K32A1)
+    assert curve in (TOY_K16, TOY_K32A0, TOY_K32A1, TOY_K32H2)
     f = curve.field
     pts = koblitz_points(f.m, f.poly, curve.a, curve.b)
     return [None] + pts, lambda P, Q: k_add(P, Q, f.m, f.poly, curve.a)
 
 
-TOYS = (TOY_W17, TOY_ED13, TOY_K16, TOY_K32A0, TOY_K32A1)
+TOYS = (TOY_W17, TOY_ED13, TOY_K16, TOY_K32A0, TOY_K32A1, TOY_K32H2)
 ANOMALOUS_TOYS = (TOY_K32A0, TOY_K32A1)
+HALVING_CURVES = ("sect113r1", "b163", "b233")
 
 
 def _mu(curve):
@@ -300,11 +301,11 @@ class TestScalarMulAgainstAffineOracle:
         want = add(R, double_and_add(h, Q, add, e))
         assert self.as_tuple(mul_add(1, Point(*R), h, Point(*Q), curve)) == want
 
-    @pytest.mark.parametrize("name", ("k163", "k233"))
+    @pytest.mark.parametrize("name", ("k163", "k233") + HALVING_CURVES)
     def test_point_with_two_torsion_component(self, name):
         # (0, sqrt(b)) has order 2, so G + (0, sqrt(b)) lies outside the
-        # order-n subgroup: only a reduction exact on the whole group keeps
-        # its multiples right
+        # order-n subgroup: only a reduction exact on the whole group, or
+        # halving's correction by (0, sqrt(b)), keeps its multiples right
         curve, add, e, _, scalars = self.make_case(name)
         f = curve.field
         root_b = curve.b
@@ -340,21 +341,40 @@ class TestTauAdicNaf:
         assert not curves._is_anomalous(TOY_K16)  # koblitz form, but b = 8
         assert all(curves._is_anomalous(curve) for curve in ANOMALOUS_TOYS)
 
-    @pytest.mark.parametrize("name", ("k163", "b163", "toy-k32a1", "toy-k16"))
+    @pytest.mark.parametrize(
+        "name", ("k163", "b163", "toy-k32a1", "toy-k16", "sect113r1", "b233", "toy-k32h2", "p256")
+    )
     def test_one_path_per_curve(self, name, monkeypatch):
-        # the tau-adic NAF replaces both the comb and the wNAF, and runs nowhere else
+        # the tau-adic NAF replaces both the comb and the wNAF, and runs nowhere
+        # else; halving replaces the doubling wNAF on the cofactor-2 binary
+        # curves, where a point other than G is doubled once, for its table
         curve = _toy_or_registry_curve(name)
+        c = curves._COORDS[curve.form]
+        doublings = []
 
         def unused(*args):
             raise AssertionError("a second scalar multiplication path ran")
 
+        def counted_double(P, curve, double=c.double):
+            doublings.append(P)
+            return double(P, curve)
+
         if curves._is_anomalous(curve):
             monkeypatch.setattr(curves, "_comb_mul", unused)
             monkeypatch.setattr(curves, "_wnaf_mul", unused)
+            monkeypatch.setattr(curves, "_halving_mul", unused)
+        elif curves._halves(curve):
+            monkeypatch.setattr(curves, "_tnaf_mul", unused)
+            monkeypatch.setattr(curves, "_wnaf_mul", unused)
         else:
             monkeypatch.setattr(curves, "_tnaf_mul", unused)
+            monkeypatch.setattr(curves, "_halving_mul", unused)
         for P in (curve.g, point_add(curve.g, curve.g, curve)):
             assert is_on_curve(scalar_mul(curve.n + 3, P, curve), curve)
+        monkeypatch.setattr(c, "double", counted_double)
+        scalar_mul(curve.n + 3, point_add(curve.g, curve.g, curve), curve)
+        if curves._halves(curve):
+            assert len(doublings) == 1
 
     @staticmethod
     def zt_mul(x, y, mu):
@@ -425,6 +445,37 @@ class TestTauAdicNaf:
                 want = double_and_add(k, P, add, None)
                 assert _as_tuple(scalar_mul(k, _from_tuple(P), curve)) == want, (P, k)
                 # G's cached table beside the per-call table of P
+                got = mul_add(k, _from_tuple(P), top - k, curve.g, curve)
+                assert _as_tuple(got) == add(want, g_multiples[top - k]), (P, k)
+
+
+class TestPointHalving:
+    """Halve-and-add on the cofactor-2 binary curves (koblitz form, h = 2, odd
+    n and m, not anomalous): its selection and an exhaustive toy check."""
+
+    def test_selected_by_curve_parameters(self):
+        selected = [name for name in curve_names() if curves._halves(get_curve(name))]
+        assert sorted(selected) == sorted(HALVING_CURVES)
+        assert curves._halves(TOY_K32H2)
+        assert not curves._halves(TOY_K16)  # h = 4
+        assert not any(curves._halves(curve) for curve in ANOMALOUS_TOYS)
+
+    def test_every_point_and_scalar_against_double_and_add(self):
+        # the n points of 2E and the n outside it, among them (0, sqrt(b)),
+        # times every scalar up to 4n: k * 2^(t-1) mod n and the parity of k
+        # both wrap
+        curve = TOY_K32H2
+        universe, toy_add = _oracle_universe(curve)
+        add = functools.lru_cache(maxsize=None)(toy_add)
+        assert len(universe) == 2 * curve.n
+        assert sum(double_and_add(curve.n, P, add, None) is None for P in universe) == curve.n
+        top = 2 * curve.h * curve.n
+        g = tuple(curve.g)
+        g_multiples = [double_and_add(j, g, add, None) for j in range(top + 1)]
+        for P in universe:
+            for k in range(top + 1):
+                want = double_and_add(k, P, add, None)
+                assert _as_tuple(scalar_mul(k, _from_tuple(P), curve)) == want, (P, k)
                 got = mul_add(k, _from_tuple(P), top - k, curve.g, curve)
                 assert _as_tuple(got) == add(want, g_multiples[top - k]), (P, k)
 

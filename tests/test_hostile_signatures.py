@@ -2,7 +2,8 @@
 place of a signature part or of the whole signature give a bool, within
 bounded time, on all four algorithms, and so do a key whose size the hash
 rule refuses and a directly built key with a negative modulus, order or
-exponent or a public point that is not an int pair."""
+exponent, an RSA exponent of 2^256 or more, a field that is not an int, or a
+public point that is not an int pair."""
 
 import time
 
@@ -179,6 +180,10 @@ HOSTILE_KEYS = {
     "rsa e < 0": ("rsa", lambda: RsaKey(n=_ODD_1024, e=-65537), 5),
     "dsa p < 0": ("dsa", lambda: DsaKey(DsaParams(p=-_ODD_1024, q=_Q127, g=2), y=3), DsaSignature(1, 1)),
     "dsa q < 0": ("dsa", lambda: DsaKey(DsaParams(p=_ODD_1024, q=-_Q127, g=2), y=3), DsaSignature(1, 1)),
+    # key files keep e below 2^256; with an exponent of 2^18 bits verify took over a second
+    "rsa e >= 2^256": ("rsa", lambda: RsaKey(n=_ODD_1024, e=2**262144 + 1), 5),
+    "rsa n = float": ("rsa", lambda: RsaKey(n=float(_ODD_1024), e=65537), 5),
+    "dsa y = 'ab'": ("dsa", lambda: DsaKey(DsaParams(p=_ODD_1024, q=_Q127, g=2), y="ab"), DsaSignature(1, 1)),
     "ecdsa p256 Q = 'ab'": ("ecdsa", lambda: EcKey(get_curve("p256"), "ab"), DsaSignature(1, 2)),
     "ecdsa k163 Q = (1.0, 2.0)": ("ecdsa", lambda: EcKey(get_curve("k163"), Point(1.0, 2.0)), DsaSignature(1, 2)),
 }

@@ -3,7 +3,8 @@
 Both schemes are generic over any CurveSpec, whatever its form: ECDSA runs
 on Edwards curves and EdDSA on Weierstrass or Koblitz curves just as well as
 on their conventional forms.  ECDSA is DSA's (r, s) scheme over the curve's
-order-n group, and reuses ff_signatures' equations and nonce loop.
+order-n group, and reuses ff_signatures' equations and nonce loop.  Both
+verifies and key import read one public-key rule, ``ec_public_problem``.
 
 The EdDSA variant here derives its nonce as r = H(H(m) || m) reduced mod n,
 computes the challenge h from the x coordinates of R and the public key plus
@@ -25,7 +26,7 @@ from .curves import (
     scalar_mul,
 )
 from .ff_signatures import DsaSignature, dsa_sign_equation, dsa_nonce_loop, dsa_verify_equation
-from .hashing import digest, digest_to_int, select_hash_for_order, sign_hash, verify_hash, verify_hashed
+from .hashing import digest, digest_to_int, select_hash_for_order, sign_hash
 from .numeric import RngHandle, is_int_pair, rand_below
 
 
@@ -50,6 +51,19 @@ class EcKey:
 
     def public_only(self) -> "EcKey":
         return EcKey(curve=self.curve, q=self.q)
+
+
+def ec_public_problem(curve: CurveSpec, point) -> Optional[str]:
+    """Why point is refused as a public key on curve, or None; any point is taken."""
+    try:
+        select_hash_for_order(curve.n.bit_length())
+    except ValueError as exc:
+        return f"field 'curve': {exc}"
+    if not (is_int_pair(point) and is_on_curve(point, curve)):
+        return "fields 'qx', 'qy' are not a point on the curve"
+    if is_neutral(point, curve):
+        return "public point is the neutral element"
+    return None
 
 
 class EddsaSignature(NamedTuple):
@@ -79,20 +93,15 @@ def ecdsa_sign(key: EcKey, message: bytes, rng: RngHandle) -> DsaSignature:
     return dsa_nonce_loop(key, key.curve.n, ecdsa_sign_digest, message, rng)
 
 
-def _public_point_ok(key: EcKey) -> bool:
-    """The rule key files are held to on import: an int pair on the curve, not the neutral element."""
-    return is_int_pair(key.q) and is_on_curve(key.q, key.curve) and not is_neutral(key.q, key.curve)
-
-
 def ecdsa_verify_digest(key: EcKey, hm: int, sig: DsaSignature) -> bool:
     curve = key.curve
-    if not _public_point_ok(key):
-        return False
     return dsa_verify_equation(curve.n, lambda u1, u2: _x(mul_add(u1, curve.g, u2, key.q, curve)), hm, sig)
 
 
 def ecdsa_verify(key: EcKey, message: bytes, sig: DsaSignature) -> bool:
-    return verify_hashed(ecdsa_verify_digest, key, message, key.curve.n, sig)
+    return not ec_public_problem(key.curve, key.q) and ecdsa_verify_digest(
+        key, digest_to_int(message, key.hash_name, key.curve.n), sig
+    )
 
 
 def eddsa_nonce(curve: CurveSpec, message: bytes, alg: str) -> int:
@@ -125,20 +134,18 @@ def eddsa_sign(key: EcKey, message: bytes) -> EddsaSignature:
 
 
 def eddsa_verify(key: EcKey, message: bytes, sig: EddsaSignature) -> bool:
-    curve, alg = key.curve, verify_hash(key)
-    if not (alg is not None and isinstance(sig, (tuple, list)) and len(sig) == 2):
+    curve = key.curve
+    if ec_public_problem(curve, key.q) or not (isinstance(sig, (tuple, list)) and len(sig) == 2):
         return False
     big_r, s = sig
     # an honest s = r + h*ka is at most modulus*(n-1); the bound keeps the work
     # of s*G independent of the size of a forged s
     if not (isinstance(s, int) and 0 <= s < curve.n * eddsa_challenge_modulus(curve)):
         return False
-    if not is_int_pair(big_r):
+    if not (is_int_pair(big_r) and is_on_curve(big_r, curve)):
         return False
     big_r = Point(*big_r)
-    if not (is_on_curve(big_r, curve) and _public_point_ok(key)):
-        return False
-    h = eddsa_challenge(curve, big_r, key.q, message, alg)
+    h = eddsa_challenge(curve, big_r, key.q, message, key.hash_name)
     # s*G - h*Q = R, one two-term product; -Q rather than (n - h)*Q, which
     # equals -h*Q only when Q has no component outside the order-n subgroup
     return mul_add(s, curve.g, h, negate(key.q, curve), curve) == big_r

@@ -9,9 +9,9 @@ signing and verification equations and its nonce loop are written once, for
 any group of prime order q, and ECDSA reuses them over a curve.
 
 The ``*_sign_digest`` / ``*_verify_digest`` variants take the already-reduced
-digest integer (and, for DSA, the nonce) directly; the plain ``sign``/
-``verify`` entry points hash the message with the automatically selected
-algorithm first.
+digest integer (and, for DSA, the nonce) directly and trust the key; plain
+``verify`` checks the key by the rule key import reads, ``*_public_problem``,
+and then, like ``sign``, hashes the message with the selected algorithm.
 """
 
 import math
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .errors import MissingPrivateKeyError, NotInvertibleError, SignatureCheckError
-from .hashing import digest_to_int, select_hash_for_modulus, sign_hash, verify_hashed
+from .hashing import digest_to_int, select_hash_for_modulus, sign_hash
 from .numeric import (
     RngHandle,
     are_ints,
@@ -126,6 +126,19 @@ class RsaKey:
         return RsaKey(n=self.n, e=self.e)
 
 
+def rsa_public_problem(n, e) -> Optional[str]:
+    """Why (n, e) is refused as an RSA public key, or None; each field's first check is that it is an int."""
+    if not (isinstance(n, int) and n >= 3 and n % 2 == 1):
+        return "field 'n' is not a valid RSA modulus"
+    try:
+        select_hash_for_modulus(n.bit_length())
+    except ValueError as exc:
+        return f"field 'n': {exc}"
+    if not (isinstance(e, int) and 2 < e < min(n, 1 << RSA_MAX_EXPONENT_BITS) and e % 2 == 1):
+        return "field 'e' is out of range: odd, above 2, below n and 2^256"
+    return None
+
+
 @dataclass(frozen=True)
 class DsaParams:
     p: int
@@ -153,6 +166,27 @@ class DsaKey:
 
     def public_only(self) -> "DsaKey":
         return DsaKey(params=self.params, y=self.y)
+
+
+def dsa_public_problem(p, q, g, y) -> Optional[str]:
+    """Why these are refused as a DSA public key, or None; each field's first check is that it is an int."""
+    if not (are_ints(p, q) and 2 < q < p):
+        return "fields 'p', 'q' are out of range"
+    try:
+        select_hash_for_modulus(p.bit_length())
+    except ValueError as exc:
+        return f"field 'p': {exc}"
+    # before import's g^q mod p, which a hostile q = (p - 1)/2 makes a full-size exponentiation
+    if q.bit_length() > DSA_MAX_SUBGROUP_BITS:
+        return f"field 'q' is wider than {DSA_MAX_SUBGROUP_BITS} bits"
+    if (p - 1) % q != 0:
+        return "field 'q' does not divide p - 1"
+    if not (isinstance(g, int) and 2 <= g < p - 1):
+        return "field 'g' is not a generator of the order-q subgroup"
+    # NIST SP 800-89: y = 1 is g^0, under which x = 0 signs every message
+    if not (isinstance(y, int) and 1 < y < p - 1):
+        return "field 'y' is out of range: above 1, below p - 1"
+    return None
 
 
 class DsaSignature(NamedTuple):
@@ -188,10 +222,13 @@ def rsa_sign_digest(key: RsaKey, hm: int) -> int:
 
     The result is checked against e before it is returned: a wrong half
     would reveal a factor of n (Boneh-DeMillo-Lipton), so a mismatch raises
-    SignatureCheckError and no signature leaves.
+    SignatureCheckError and no signature leaves.  An e that verify refuses
+    raises ValueError before any exponentiation.
     """
     if key.d is None:
         raise MissingPrivateKeyError("RSA signing requires the private exponent d")
+    if key.e >= 1 << RSA_MAX_EXPONENT_BITS:
+        raise ValueError(f"RSA signing requires e below 2^{RSA_MAX_EXPONENT_BITS}, as verify does")
     hm %= key.n
     s_p = mod_exp(hm, key.dp, key.p)
     s_q = mod_exp(hm, key.dq, key.q)
@@ -206,14 +243,13 @@ def rsa_sign(key: RsaKey, message: bytes) -> int:
 
 
 def rsa_verify_digest(key: RsaKey, hm: int, signature: int) -> bool:
-    n, e = key.n, key.e
-    if not (are_ints(signature, n, e) and 0 <= signature < n and 0 <= e < 1 << RSA_MAX_EXPONENT_BITS):
-        return False
-    return mod_exp(signature, e, n) == hm
+    return isinstance(signature, int) and 0 <= signature < key.n and mod_exp(signature, key.e, key.n) == hm
 
 
 def rsa_verify(key: RsaKey, message: bytes, signature: int) -> bool:
-    return verify_hashed(rsa_verify_digest, key, message, key.n, signature)
+    return not rsa_public_problem(key.n, key.e) and rsa_verify_digest(
+        key, digest_to_int(message, key.hash_name, key.n), signature
+    )
 
 
 def dsa_paramgen(L: int, N: int, rng: RngHandle) -> DsaParams:
@@ -303,10 +339,11 @@ def dsa_sign(key: DsaKey, message: bytes, rng: RngHandle) -> DsaSignature:
 
 def dsa_verify_digest(key: DsaKey, hm: int, sig: DsaSignature) -> bool:
     p, q, g, y = key.params.p, key.params.q, key.params.g, key.y
-    return are_ints(p, q, g, y) and p >= 2 and dsa_verify_equation(
-        q, lambda u1, u2: mod_exp(g, u1, p) * mod_exp(y, u2, p) % p, hm, sig
-    )
+    return dsa_verify_equation(q, lambda u1, u2: mod_exp(g, u1, p) * mod_exp(y, u2, p) % p, hm, sig)
 
 
 def dsa_verify(key: DsaKey, message: bytes, sig: DsaSignature) -> bool:
-    return verify_hashed(dsa_verify_digest, key, message, key.params.q, sig)
+    params = key.params
+    return not dsa_public_problem(params.p, params.q, params.g, key.y) and dsa_verify_digest(
+        key, digest_to_int(message, key.hash_name, params.q), sig
+    )

@@ -4,13 +4,11 @@ Hash algorithms are named by their digest width: ``sha160`` (SHA-1),
 ``sha224``, ``sha256``, ``sha384`` and ``sha512``.  Two selection tables
 pick a hash from the RSA/DSA modulus size or from an elliptic curve's order
 size, and one lookup reads both.  Messages are reduced to integers by
-leftmost-bits truncation followed by modular reduction.  ``verify_hashed``
-is the one hashed front end of RSA, DSA and ECDSA verification: False where
-the rule refuses the key, else the digest-level check.
+leftmost-bits truncation followed by modular reduction.  A key whose size
+selection refuses fails its scheme's public-key rule before verify hashes.
 """
 
 import hashlib
-from typing import Callable, Optional
 
 from .errors import MissingPrivateKeyError
 
@@ -61,28 +59,6 @@ def sign_hash(key) -> str:
     if not key.has_private:
         raise MissingPrivateKeyError("signing requires the private key")
     return key.hash_name
-
-
-def verify_hash(key) -> Optional[str]:
-    """The key's ``hash_name``, or None where the rule refuses the key's size:
-    verify then answers False, where sign raises."""
-    try:
-        return key.hash_name
-    except ValueError:
-        return None
-
-
-def verify_hashed(check: Callable, key, message: bytes, modulus: int, signature) -> bool:
-    """check(key, hm, signature), with hm the message's digest reduced below
-    modulus; False where modulus is not an int of at least 2 or the rule
-    refuses the key's size.  The modulus is checked first: RSA's is n, from
-    which the key's size is read."""
-    if not (isinstance(modulus, int) and modulus >= 2):
-        return False
-    alg = verify_hash(key)
-    if alg is None:
-        return False
-    return check(key, digest_to_int(message, alg, modulus), signature)
 
 
 def digest(message: bytes, alg: str) -> bytes:

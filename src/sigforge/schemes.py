@@ -13,11 +13,12 @@ such as a profiler's, also sees the calls made through the table.
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-from .curves import Point, is_neutral, is_on_curve, scalar_mul
+from .curves import Point, scalar_mul
 from .ec_signatures import (
     EcKey,
     EddsaSignature,
     ec_keygen,
+    ec_public_problem,
     ecdsa_sign,
     ecdsa_verify,
     eddsa_sign,
@@ -25,17 +26,17 @@ from .ec_signatures import (
 )
 from .errors import KeyFileError, UnknownCurveError
 from .ff_signatures import (
-    DSA_MAX_SUBGROUP_BITS,
-    RSA_MAX_EXPONENT_BITS,
     DsaKey,
     DsaParams,
     DsaSignature,
     RsaKey,
     dsa_keygen,
     dsa_paramgen,
+    dsa_public_problem,
     dsa_sign,
     dsa_verify,
     rsa_keygen,
+    rsa_public_problem,
     rsa_sign,
     rsa_sign_digest,
     rsa_verify,
@@ -82,20 +83,13 @@ def _dsa_keygen(rng, bits, curve):
 # --- key file validators ------------------------------------------------------
 
 
-def _check_modulus_size(name, modulus):
-    """Refuse a modulus that the hash rule, and so every sign and verify, refuses."""
-    try:
-        select_hash_for_modulus(modulus.bit_length())
-    except ValueError as exc:
-        raise KeyFileError(f"field {name!r}: {exc}") from None
+def _refuse(problem):
+    if problem:
+        raise KeyFileError(problem)
 
 
 def _parse_rsa_key(n, e, d=None):
-    if n < 3 or n % 2 == 0:
-        raise KeyFileError("field 'n' is not a valid RSA modulus")
-    _check_modulus_size("n", n)
-    if not (2 < e < min(n, 1 << RSA_MAX_EXPONENT_BITS)) or e % 2 == 0:
-        raise KeyFileError("field 'e' is out of range: odd, above 2, below n and 2^256")
+    _refuse(rsa_public_problem(n, e))
     if d is not None and not 0 < d < n:
         raise KeyFileError("field 'd' is out of range")
     try:
@@ -111,17 +105,10 @@ def _parse_rsa_key(n, e, d=None):
 
 
 def _parse_dsa_key(p, q, g, y, x=None):
-    if not 2 < q < p:
-        raise KeyFileError("fields 'p', 'q' are out of range")
-    _check_modulus_size("p", p)
-    # before g^q mod p, which a hostile q = (p - 1)/2 makes a full-size exponentiation
-    if q.bit_length() > DSA_MAX_SUBGROUP_BITS:
-        raise KeyFileError(f"field 'q' is wider than {DSA_MAX_SUBGROUP_BITS} bits")
-    if (p - 1) % q != 0:
-        raise KeyFileError("field 'q' does not divide p - 1")
-    if not 2 <= g < p - 1 or mod_exp(g, q, p) != 1:
+    _refuse(dsa_public_problem(p, q, g, y))
+    if mod_exp(g, q, p) != 1:
         raise KeyFileError("field 'g' is not a generator of the order-q subgroup")
-    if not 0 < y < p or mod_exp(y, q, p) != 1:
+    if mod_exp(y, q, p) != 1:
         raise KeyFileError("field 'y' is not in the order-q subgroup")
     if x is not None:
         if not 0 < x < q:
@@ -141,10 +128,7 @@ def _parse_ec_key(form, name, qx, qy, ka=None):
     if form != curve.form:
         raise KeyFileError(f"field 'form': curve {curve.name!r} has form {curve.form!r}")
     public = Point(qx, qy)
-    if not is_on_curve(public, curve):
-        raise KeyFileError("fields 'qx', 'qy' are not a point on the curve")
-    if is_neutral(public, curve):
-        raise KeyFileError("public point is the neutral element")
+    _refuse(ec_public_problem(curve, public))
     if ka is not None:
         if not 0 < ka < curve.n:
             raise KeyFileError("field 'ka' is out of range")

@@ -179,6 +179,22 @@ class TestRsaCrt:
         with pytest.raises(SignatureCheckError):
             rsa_sign(key, b"hello")
 
+    def test_exponent_past_2_to_256_refused_before_exponentiating(self, monkeypatch):
+        # e = 65537 + phi(n) * 2^300 is congruent to 65537, so d still inverts
+        # it and the CRT signature is right, but verify refuses e >= 2^256
+        key = rsa_keygen(1024, RngHandle(39))
+        phi = (key.p - 1) * (key.q - 1)
+        wide = RsaKey(n=key.n, e=65537 + phi * 2**300, d=key.d, p=key.p, q=key.q)
+
+        def no_mod_exp(*args):
+            raise AssertionError("exponentiation with an e that verify refuses")
+
+        monkeypatch.setattr(ff_module, "mod_exp", no_mod_exp)
+        for sign in (lambda: rsa_sign_digest(wide, 65), lambda: rsa_sign(wide, b"hello")):
+            with pytest.raises(ValueError, match=r"e below 2\^256") as refused:
+                sign()
+            assert not isinstance(refused.value, SignatureCheckError)
+
 
 class TestDsaParamgen:
     def test_toy_divisibility(self):

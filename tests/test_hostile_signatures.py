@@ -1,9 +1,13 @@
 """Verify on hostile input: any ints, huge or negative, and any non-ints in
 place of a signature part or of the whole signature give a bool, within
-bounded time, on all four algorithms, and so do a key whose size the hash
-rule refuses and a directly built key with a negative modulus, order or
-exponent, an RSA exponent of 2^256 or more, a field that is not an int, or a
-public point that is not an int pair."""
+bounded time, on all four algorithms.  Keys are held to the public-key rule
+that key import reads: a key whose size the hash rule refuses gives False,
+and so does a directly built key with a negative modulus, order or exponent,
+an RSA exponent of 2^256 or more, a field that is not an int, or a public
+point that is not an int pair.  So do the keys under which anyone can sign:
+RSA e = 1, where s = hm verifies, and DSA y = 1, where a signature made with
+x = 0 verifies for any message.  Each key that import refuses for a cheap
+reason verifies to False when it is built directly."""
 
 import time
 
@@ -13,8 +17,10 @@ from hypothesis import given, settings, strategies as st
 from sigforge.cryptosystem import generate_key, sign_message, verify_message
 from sigforge.curves import Point, scalar_mul
 from sigforge.ec_signatures import EcKey, EddsaSignature
-from sigforge.errors import MissingPrivateKeyError
-from sigforge.ff_signatures import DsaKey, DsaParams, DsaSignature, RsaKey
+from sigforge.errors import KeyFileError, MissingPrivateKeyError
+from sigforge.ff_signatures import DsaKey, DsaParams, DsaSignature, RsaKey, dsa_paramgen, dsa_sign_digest
+from sigforge.hashing import digest_to_int, select_hash_for_modulus
+from sigforge.keystore import parse_key, render_key
 from sigforge.numeric import RngHandle
 from sigforge.registry import get_curve
 
@@ -175,6 +181,11 @@ SMALL_KEYS = {
 # a caller can build directly: (algorithm, key factory, signature)
 _ODD_1024 = 2**1023 + 1
 _Q127 = 2**127 - 1  # prime
+# s = hm verifies under e = 1 for any n
+_E1_FORGERY = digest_to_int(MESSAGE, select_hash_for_modulus(1024), _ODD_1024)
+# y = g^0 = 1: with x = 0, s = hm/k verifies for any message, on valid (p, q, g)
+_Y1_KEY = DsaKey(dsa_paramgen(512, 160, RngHandle(6300)), y=1, x=0)
+_Y1_FORGERY = dsa_sign_digest(_Y1_KEY, digest_to_int(MESSAGE, _Y1_KEY.hash_name, _Y1_KEY.params.q), 12345)
 HOSTILE_KEYS = {
     "rsa n < 0": ("rsa", lambda: RsaKey(n=-_ODD_1024, e=65537), 5),
     "rsa e < 0": ("rsa", lambda: RsaKey(n=_ODD_1024, e=-65537), 5),
@@ -183,6 +194,10 @@ HOSTILE_KEYS = {
     # key files keep e below 2^256; with an exponent of 2^18 bits verify took over a second
     "rsa e >= 2^256": ("rsa", lambda: RsaKey(n=_ODD_1024, e=2**262144 + 1), 5),
     "rsa n = float": ("rsa", lambda: RsaKey(n=float(_ODD_1024), e=65537), 5),
+    "dsa p = float": ("dsa", lambda: DsaKey(DsaParams(p=float(_ODD_1024), q=_Q127, g=2), y=3), DsaSignature(1, 1)),
+    "dsa p = 'ab'": ("dsa", lambda: DsaKey(DsaParams(p="ab", q=_Q127, g=2), y=3), DsaSignature(1, 1)),
+    "rsa e = 1": ("rsa", lambda: RsaKey(n=_ODD_1024, e=1), _E1_FORGERY),
+    "dsa y = 1": ("dsa", _Y1_KEY.public_only, _Y1_FORGERY),
     "dsa y = 'ab'": ("dsa", lambda: DsaKey(DsaParams(p=_ODD_1024, q=_Q127, g=2), y="ab"), DsaSignature(1, 1)),
     "ecdsa p256 Q = 'ab'": ("ecdsa", lambda: EcKey(get_curve("p256"), "ab"), DsaSignature(1, 2)),
     "ecdsa k163 Q = (1.0, 2.0)": ("ecdsa", lambda: EcKey(get_curve("k163"), Point(1.0, 2.0)), DsaSignature(1, 2)),
@@ -193,6 +208,35 @@ HOSTILE_KEYS = {
 def test_hostile_key_is_invalid(case):
     algorithm, make_key, sig = HOSTILE_KEYS[case]
     assert assert_bool_in_bounded_time(algorithm, make_key(), sig) is False
+
+
+# each public-key refusal of the key-file mutation table, and DSA's y = 1 and
+# y = p - 1, made to a seeded key: (algorithm, change, import's refusal)
+REFUSED_KEYS = {
+    "rsa n + 1": ("rsa", lambda key: RsaKey(n=key.n + 1, e=key.e), "not a valid RSA modulus"),
+    "rsa e = 2": ("rsa", lambda key: RsaKey(n=key.n, e=2), "field 'e' is out of range"),
+    "dsa q = p": ("dsa", lambda key: _dsa(key, q=key.params.p), "fields 'p', 'q' are out of range"),
+    "dsa q + 2": ("dsa", lambda key: _dsa(key, q=key.params.q + 2), "field 'q' does not divide p - 1"),
+    "dsa g = 1": ("dsa", lambda key: _dsa(key, g=1), "not a generator"),
+    "dsa y = 1": ("dsa", lambda key: _dsa(key, y=1), "field 'y' is out of range"),
+    "dsa y = p - 1": ("dsa", lambda key: _dsa(key, y=key.params.p - 1), "field 'y' is out of range"),
+    "eddsa neutral": ("eddsa", lambda key: EcKey(key.curve, Point(0, 1)), "neutral element"),
+}
+
+
+def _dsa(key, y=None, **params):
+    fields = {**vars(key.params), **params}
+    return DsaKey(DsaParams(**fields), y=key.y if y is None else y)
+
+
+@pytest.mark.parametrize("case", tuple(REFUSED_KEYS))
+def test_key_import_refuses_verifies_to_false(signed, case):
+    algorithm, change, reason = REFUSED_KEYS[case]
+    key, good = signed[algorithm]
+    refused = change(key)
+    with pytest.raises(KeyFileError, match=reason):
+        parse_key(render_key(algorithm, refused, public_only=True))
+    assert assert_bool_in_bounded_time(algorithm, refused, good) is False
 
 
 @pytest.mark.parametrize("algorithm", tuple(SMALL_KEYS))

@@ -24,15 +24,15 @@ map tau(x, y) = (x^2, y^2) replaces doubling in a width-w tau-adic NAF (Solinas
 2000), and the scalar is reduced modulo tau^m - 1, which fixes every point of
 E(GF(2^m)): exact for any scalar and any curve point, whatever n and h are.
 Elsewhere G's comb, one table per curve, reads k mod n, exact since
-validate_curve proves n*G neutral, and still doubles.  Any other point takes a
-width-w NAF.  On the cofactor-2 binary curves -- koblitz form, h = 2, odd n
-and m, not anomalous: sect113r1, b163 and b233 in the registry -- point
-halving (Knudsen 1999; HMV Alg. 3.81) replaces doubling there: a half-trace, a
-multiply, a trace and a square root, no inversion, read over the NAF of
-k * 2^(t-1) mod n.  That reduction is exact only on the order-n subgroup 2E,
-where Tr(x) = Tr(a); a point outside it is P' + T with T = (0, sqrt(b)) of
-order 2 and P' in 2E, and k*P = k*P' + (k mod 2)*T.  Everywhere else the NAF
-is of k itself, with doubling between digits.
+validate_curve proves n*G neutral; any other point takes a width-w NAF, and
+both run through one product.  On the cofactor-2 binary curves -- koblitz
+form, h = 2, odd n and m, not anomalous: sect113r1, b163 and b233 in the
+registry -- its step is point halving (Knudsen 1999; HMV Alg. 3.81), a
+half-trace, a multiply, a trace and a square root, no inversion, over the
+digits of k * 2^(t-1) mod n.  That is exact only on the order-n subgroup 2E,
+where Tr(x) = Tr(a) and G lies; any other point is P' + T with
+T = (0, sqrt(b)) of order 2 and P' in 2E, and k*P = k*P' + (k mod 2)*T.
+Everywhere else the step is doubling, and the NAF is of k itself.
 """
 
 from dataclasses import dataclass
@@ -386,6 +386,18 @@ def _signed_table(odd, c, curve):
     return tuple(table)
 
 
+def _product(k, digits, t, table, c, curve):
+    """k * P by Horner's rule over digits(k), least significant first, digit i
+    naming the multiple of P in table that weighs 2^i.  Where _halves holds, P
+    lies in 2E, and halving between the t digits of k * 2^(t-1) mod n, read from
+    the least significant, weighs digit i 2^(i-t+1): the sum is k mod n times P."""
+    if not _halves(curve):
+        return _horner(digits(k), table, c.double, c, curve)
+    high_first = digits((k << (t - 1)) % curve.n)[::-1]
+    high_first = [0] * (t - len(high_first)) + high_first
+    return _unhalve(_horner(high_first, table, _halve, _HALVING, curve), curve)
+
+
 @lru_cache(maxsize=FIXED_BASE_TABLES)
 def _comb_table(curve: CurveSpec) -> tuple:
     """(d, table): the comb's row length, and the table whose entry a is
@@ -407,10 +419,11 @@ def _comb_table(curve: CurveSpec) -> tuple:
 
 def _comb_mul(k, curve, c):
     d, table = _comb_table(curve)
-    k, mask = k % curve.n, (1 << d) - 1
-    rows = [format(k >> (j * d) & mask, f"0{d}b")[::-1] for j in reversed(range(COMB_TEETH))]
-    digits = [int("".join(column), 2) for column in zip(*rows)]
-    return _horner(digits, table, c.double, c, curve)
+    def columns(k):  # bit j of column i is bit i + j*d of k
+        bits = format(k, f"0{COMB_TEETH * d}b")[::-1]
+        return [int(bits[i::d][::-1], 2) for i in range(d)]
+
+    return _product(k % curve.n, columns, d, table, c, curve)
 
 
 def _wnaf(k):
@@ -438,9 +451,18 @@ def _wnaf_table(P, c, curve):
     return _signed_table(odd, c, curve)
 
 
-def _wnaf_mul(k, point, curve, c):
-    P = c.lift(point, curve)
-    return _horner(_wnaf(k), _wnaf_table(P, c, curve), c.double, c, curve)
+def _naf_mul(k, point, curve, c):
+    """k * point by a width-w NAF of k or, where _halves holds, of k mod n, exact
+    on 2E only: a point P outside it, Tr(x) != Tr(a), is P' + T with
+    T = (0, sqrt(b)) of order 2 and P' = P + T in 2E, and k*P = k*P' + (k mod 2)*T."""
+    f = curve.field
+    T = None
+    if _halves(curve) and point is not None and f.trace(point.x) != f.trace(curve.a):
+        T = Point(0, f.sqrt(curve.b))
+        point = c.add(point, T, curve)
+    table = _wnaf_table(c.lift(point, curve), c, curve)
+    P = _product(k, _wnaf, curve.n.bit_length() + 1, table, c, curve)
+    return c.add(P, T, curve) if T and k & 1 else P
 
 
 # --- cofactor-2 binary curves: halve-and-add (Knudsen 1999; HMV 3.6) --------
@@ -503,27 +525,6 @@ def _halve(P, curve):
 _HALVING = SimpleNamespace(
     neutral=None, add=lambda P, Q, curve: _add_koblitz(_unhalve(P, curve), Q, curve)
 )
-
-
-def _halving_mul(k, point, curve, c):
-    """k * point on a curve where _halves holds; point has passed _require_on_curve.
-
-    The digit of 2^i in the width-w NAF of k' = k * 2^(t-1) mod n, t = bits(n) + 1,
-    weighs 2^(i-t+1) in k mod n, so Horner's rule with halving between digits
-    reads the NAF from its least significant digit.  That reduction by n is
-    exact on 2E only: a point P outside it, Tr(x) != Tr(a), is P' + T with
-    T = (0, sqrt(b)) of order 2 and P' = P + T in 2E, and k*P = k*P' + (k mod 2)*T.
-    """
-    f = curve.field
-    T = None
-    if point is not None and f.trace(point.x) != f.trace(curve.a):
-        T = Point(0, f.sqrt(curve.b))
-        point = c.add(point, T, curve)
-    t = curve.n.bit_length() + 1
-    digits = _wnaf((k << (t - 1)) % curve.n)
-    digits = [0] * (t - len(digits)) + digits[::-1]
-    P = _unhalve(_horner(digits, _wnaf_table(point, c, curve), _halve, _HALVING, curve), curve)
-    return c.add(P, T, curve) if k & 1 else P
 
 
 # --- anomalous binary curves: tau-adic NAF (Solinas 2000; HMV 3.4) ----------
@@ -640,7 +641,7 @@ def _tnaf_mul(k, point, curve, c):
 
 def _mul(k, point, curve, c):
     """k * point in the form's internal coordinates: the tau-adic NAF on the
-    anomalous binary curves, elsewhere the comb for G and wNAF otherwise."""
+    anomalous binary curves, elsewhere the comb for G and the NAF otherwise."""
     if k < 0:
         raise ValueError("scalar must be non-negative")
     _require_on_curve(point, curve)
@@ -648,9 +649,7 @@ def _mul(k, point, curve, c):
         return _tnaf_mul(k, point, curve, c)
     if point == curve.g:
         return _comb_mul(k, curve, c)
-    if _halves(curve):
-        return _halving_mul(k, point, curve, c)
-    return _wnaf_mul(k, point, curve, c)
+    return _naf_mul(k, point, curve, c)
 
 
 def scalar_mul(k: int, point: PointLike, curve: CurveSpec) -> PointLike:
@@ -661,10 +660,10 @@ def scalar_mul(k: int, point: PointLike, curve: CurveSpec) -> PointLike:
     as a width-w tau-adic NAF: multiples of ``curve.g`` read a table cached per
     curve, other points build theirs per call.  Elsewhere multiples of the base
     point read k mod n, exact once ``validate_curve`` has passed, through a comb
-    with one table cached per curve.  Any other point uses a width-w NAF: on
-    the cofactor-2 binary curves, of k * 2^(t-1) mod n with halving between
-    digits and a correction by the point of order 2 that keeps it exact on
-    every curve point; elsewhere, of k itself with doubling between digits.
+    with one table cached per curve, and any other point uses a width-w NAF.
+    On the cofactor-2 binary curves both halve, reading k * 2^(t-1) mod n, and
+    the NAF adds a correction by the point of order 2 that keeps it exact on
+    every curve point; elsewhere both double, and the NAF is of k itself.
     """
     c = _COORDS[curve.form]
     return c.to_affine(_mul(k, point, curve, c), curve)
@@ -714,7 +713,8 @@ def validate_curve(curve: CurveSpec) -> None:
                 fail("degenerate edwards parameters")
     if not is_on_curve(curve.g, curve):
         fail("base point is not on the curve")
-    # n*G = neutral, checked as (n - 1)*G = -G: the comb would read n*G as 0*G
+    # n*G = neutral, checked as (n - 1)*G = -G: the comb would read n*G as 0*G;
+    # where it halves, its halves are exact for G in 2E (none outside passes)
     if scalar_mul(curve.n - 1, curve.g, curve) != negate(curve.g, curve):
         fail("n * G is not the neutral element")
     q = curve.field_size

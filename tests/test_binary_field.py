@@ -17,6 +17,8 @@ def test_field_construction_validates_polynomial():
         BinaryField(4, 0b10010)  # constant term 0
     with pytest.raises(ValueError):
         BinaryField(4, 0b1011)  # degree too low
+    with pytest.raises(ValueError, match="extension degree"):
+        BinaryField(0, 0b1)  # degree 0 and constant term 1, but no field
 
 
 class TestMul:

@@ -147,6 +147,16 @@ class TestIoErrors:
         assert rc == EXIT_IO
         assert "too small" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ("pub.txt", "msg.sig"))
+    def test_file_that_is_not_utf8(self, tmp_path, message_file, capsys, bad):
+        priv, pub = keygen(tmp_path, "--algorithm", "eddsa")
+        sig = tmp_path / "msg.sig"
+        cli_main(["sign", "--key", str(priv), "--in", str(message_file), "--out", str(sig)])
+        (tmp_path / bad).write_bytes((tmp_path / bad).read_bytes() + b"\xff\n")
+        rc = cli_main(["verify", "--key", str(pub), "--in", str(message_file), "--sig", str(sig)])
+        assert rc == EXIT_IO
+        assert "not valid UTF-8" in capsys.readouterr().err
+
     def test_missing_key_file(self, tmp_path, message_file):
         rc = cli_main(["verify", "--key", str(tmp_path / "nope"), "--in", str(message_file), "--sig", str(tmp_path / "s")])
         assert rc == EXIT_IO

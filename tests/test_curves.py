@@ -1,12 +1,15 @@
 import dataclasses
 import functools
 import random
+import re
 
 import pytest
 
 from sigforge import Cryptosystem, curves
+from sigforge.binary_field import BinaryField
 from sigforge.curves import (
     EDWARDS,
+    KOBLITZ,
     WEIERSTRASS,
     CurveSpec,
     Point,
@@ -345,9 +348,10 @@ class TestTauAdicNaf:
         "name", ("k163", "b163", "toy-k32a1", "toy-k16", "sect113r1", "b233", "toy-k32h2", "p256")
     )
     def test_one_path_per_curve(self, name, monkeypatch):
-        # the tau-adic NAF replaces both the comb and the wNAF, and runs nowhere
-        # else; halving replaces the doubling wNAF on the cofactor-2 binary
-        # curves, where a point other than G is doubled once, for its table
+        # the tau-adic NAF replaces both the comb and the NAF, and runs nowhere
+        # else; on the cofactor-2 binary curves halving replaces doubling in
+        # every product, so a product of G doubles nothing and one of any other
+        # point doubles once, for its table's 2P
         curve = _toy_or_registry_curve(name)
         c = curves._COORDS[curve.form]
         doublings = []
@@ -361,20 +365,17 @@ class TestTauAdicNaf:
 
         if curves._is_anomalous(curve):
             monkeypatch.setattr(curves, "_comb_mul", unused)
-            monkeypatch.setattr(curves, "_wnaf_mul", unused)
-            monkeypatch.setattr(curves, "_halving_mul", unused)
-        elif curves._halves(curve):
-            monkeypatch.setattr(curves, "_tnaf_mul", unused)
-            monkeypatch.setattr(curves, "_wnaf_mul", unused)
+            monkeypatch.setattr(curves, "_naf_mul", unused)
         else:
             monkeypatch.setattr(curves, "_tnaf_mul", unused)
-            monkeypatch.setattr(curves, "_halving_mul", unused)
         for P in (curve.g, point_add(curve.g, curve.g, curve)):
             assert is_on_curve(scalar_mul(curve.n + 3, P, curve), curve)
         monkeypatch.setattr(c, "double", counted_double)
-        scalar_mul(curve.n + 3, point_add(curve.g, curve.g, curve), curve)
-        if curves._halves(curve):
-            assert len(doublings) == 1
+        for P, table_doublings in ((curve.g, 0), (point_add(curve.g, curve.g, curve), 1)):
+            doublings.clear()
+            scalar_mul(curve.n + 3, P, curve)
+            if curves._halves(curve):
+                assert len(doublings) == table_doublings, P
 
     @staticmethod
     def zt_mul(x, y, mu):
@@ -529,6 +530,40 @@ class TestValidateCurve:
         )
         with pytest.raises(ValueError, match="must be field elements"):
             validate_curve(broken)
+
+    @pytest.mark.parametrize(
+        "broken,reason",
+        (
+            (dataclasses.replace(TOY_W17, form="hessian"), "unknown form 'hessian'"),
+            (dataclasses.replace(TOY_W17, h=0), "cofactor must be >= 1"),
+            (dataclasses.replace(TOY_W17, form=KOBLITZ), "koblitz form requires a BinaryField"),
+            # x^4 + x^2 + 1 = (x^2 + x + 1)^2
+            (
+                dataclasses.replace(TOY_K16, field=BinaryField(4, 0b10101)),
+                "reduction polynomial is not irreducible",
+            ),
+            (dataclasses.replace(TOY_K16, b=0), "singular curve (b = 0)"),
+            (dataclasses.replace(TOY_W17, field=15), "field modulus is not an odd prime"),
+            (dataclasses.replace(TOY_W17, a=0, b=0), "singular curve (zero discriminant)"),
+            (dataclasses.replace(TOY_ED13, a=TOY_ED13.d), "degenerate edwards parameters"),
+        ),
+        ids=lambda value: value if isinstance(value, str) else value.name,
+    )
+    def test_each_refusal_names_its_reason(self, broken, reason):
+        with pytest.raises(ValueError, match=re.escape(f"curve {broken.name!r}: {reason}")):
+            validate_curve(broken)
+
+    def test_base_point_outside_the_order_n_subgroup_rejected(self):
+        # (n - 1) * G is read through halving, which is exact only on 2E, the
+        # points with Tr(x) = Tr(a): every base point outside it must still fail
+        curve = TOY_K32H2
+        f = curve.field
+        universe, _ = _oracle_universe(curve)
+        outside = [P for P in universe[1:] if f.trace(P[0]) != f.trace(curve.a)]
+        assert len(outside) == curve.n
+        for P in outside:
+            with pytest.raises(ValueError, match="neutral element"):
+                validate_curve(dataclasses.replace(curve, g=Point(*P)))
 
     def test_hasse_violation_rejected(self):
         # n = 19 with cofactor 3 puts h*n far outside the interval around 18

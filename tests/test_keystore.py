@@ -329,6 +329,13 @@ class TestKeyValidation:
         with pytest.raises(OSError):
             import_key(tmp_path / "missing.txt")
 
+    @pytest.mark.parametrize("load", (import_key, import_signature))
+    def test_import_refuses_bytes_that_are_not_utf8(self, load, tmp_path):
+        path = tmp_path / "file.txt"
+        path.write_bytes(b"sigforge-key v1\nalgorithm: rsa\xff\n")
+        with pytest.raises(KeyFileError, match="not valid UTF-8"):
+            load(path)
+
 
 class TestSignatureFiles:
     def test_rsa_roundtrip(self, tmp_path):

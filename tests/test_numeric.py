@@ -61,6 +61,10 @@ class TestModExp:
         with pytest.raises(ValueError):
             mod_exp(2, 3, 0)
 
+    def test_negative_exponent(self):
+        with pytest.raises(ValueError, match="negative exponents"):
+            mod_exp(2, -1, 11)
+
 
 class TestModInv:
     def test_identity(self):
@@ -73,6 +77,11 @@ class TestModInv:
     def test_not_invertible(self):
         with pytest.raises(NotInvertibleError):
             mod_inv(4, 8)
+
+    @pytest.mark.parametrize("modulus", (1, 0, -7))
+    def test_bad_modulus(self, modulus):
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            mod_inv(3, modulus)
 
     def test_exhaustive_small_moduli(self):
         for m in range(2, 60):

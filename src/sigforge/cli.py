@@ -89,15 +89,15 @@ def _cmd_verify(args):
     return EXIT_INVALID
 
 
+def _bench_progress(r):
+    name = r.curve if r.curve != "-" else r.key_size
+    cold = "" if r.first_lookup_s is None else f" (first lookup {r.first_lookup_s * 1e3:.0f} ms)"
+    print(f"bench: {r.algorithm} {name} done{cold}", file=sys.stderr)
+
+
 def _cmd_bench(args):
     records = run_bench(
-        SUITES[args.suite],
-        repeats=args.repeats,
-        seed=args.seed,
-        progress=lambda r: print(
-            f"bench: {r.algorithm} {r.curve if r.curve != '-' else r.key_size} done",
-            file=sys.stderr,
-        ),
+        SUITES[args.suite], repeats=args.repeats, seed=args.seed, progress=_bench_progress
     )
     csv_text = emit_csv(records)
     if args.out:

@@ -17,26 +17,27 @@ law runs in coordinates that need no field inversion per step: Jacobian
 coordinates on Koblitz curves.  Each public result is converted back to
 affine exactly once, so it does not depend on the coordinates used.
 
-Scalar multiplication is one Horner loop over a scalar's digits and a table
-chosen from the curve's parameters.  On the anomalous binary curves -- koblitz
-form with b = 1 and a in {0, 1}: k163 and k233 in the registry -- the Frobenius
-map tau(x, y) = (x^2, y^2) replaces doubling in a width-w tau-adic NAF (Solinas
-2000), and the scalar is reduced modulo tau^m - 1, which fixes every point of
-E(GF(2^m)): exact for any scalar and any curve point, whatever n and h are.
-Elsewhere G's comb, one table per curve, reads k mod n, exact since
-validate_curve proves n*G neutral; any other point takes a width-w NAF, and
-both run through one product.  On the cofactor-2 binary curves -- koblitz
-form, h = 2, odd n and m, not anomalous: sect113r1, b163 and b233 in the
-registry -- its step is point halving (Knudsen 1999; HMV Alg. 3.81), a
-half-trace, a multiply, a trace and a square root, no inversion, over the
-digits of k * 2^(t-1) mod n.  That is exact only on the order-n subgroup 2E,
-where Tr(x) = Tr(a) and G lies; any other point is P' + T with
-T = (0, sqrt(b)) of order 2 and P' in 2E, and k*P = k*P' + (k mod 2)*T.
-Everywhere else the step is doubling, and the NAF is of k itself.
+Scalar multiplication is one Horner loop over streams of a scalar's digits,
+each with a table chosen from the curve's parameters.  On the anomalous binary
+curves -- koblitz form with b = 1 and a in {0, 1}: k163 and k233 in the
+registry -- the Frobenius map tau(x, y) = (x^2, y^2) replaces doubling in a
+width-w tau-adic NAF (Solinas 2000), and the scalar is reduced modulo
+tau^m - 1, which fixes every point of E(GF(2^m)): exact for any scalar and any
+curve point, whatever n and h are.  Elsewhere G's comb, two tables and so two
+streams, reads k mod n, exact since validate_curve proves n*G neutral; any
+other point takes a width-w NAF, and both run through one product.  On the
+cofactor-2 binary curves -- koblitz form, h = 2, odd n and m, not anomalous:
+sect113r1, b163 and b233 in the registry -- its step, and the comb teeth's, is
+point halving (Knudsen 1999; HMV Alg. 3.81), no inversion, over the digits of
+k * 2^(t-1) mod n.  That is exact only on the order-n subgroup 2E, where
+Tr(x) = Tr(a) and G lies; any other point is P' + T with T = (0, sqrt(b)) of
+order 2 and P' in 2E, and k*P = k*P' + (k mod 2)*T.  Everywhere else the step
+is doubling, and the NAF is of k itself.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from types import SimpleNamespace
 from typing import NamedTuple, Optional, Union
 
@@ -184,12 +185,12 @@ def _negate_jacobian(P, curve):
     return (X, -Y % curve.field, Z)
 
 
-def _to_affine_jacobian(P, curve):
+def _to_affine_jacobian(P, curve, zi=None):
     X, Y, Z = P
     if Z == 0:
         return None
     p = curve.field
-    zi = numeric.mod_inv(Z, p)
+    zi = zi or numeric.mod_inv(Z, p)
     zi2 = zi * zi % p
     return Point(X * zi2 % p, Y * zi2 % p * zi % p)
 
@@ -254,10 +255,10 @@ def _negate_extended(P, curve):
     return (-X % p, Y, Z, -T % p)
 
 
-def _to_affine_extended(P, curve):
+def _to_affine_extended(P, curve, zi=None):
     X, Y, Z, _ = P
     p = curve.field
-    zi = numeric.mod_inv(Z, p)
+    zi = zi or numeric.mod_inv(Z, p)
     return Point(X * zi % p, Y * zi % p)
 
 
@@ -302,7 +303,7 @@ def _affine(P, curve):
 #   double(P, curve)     2P
 #   add(P, Q, curve)     P + Q, for any P and Q
 #   negate(P, curve)     -P
-#   to_affine(P, curve)  internal point -> affine Point, or None at infinity
+#   to_affine(P, curve[, 1/Z])  internal point -> affine Point, or None at infinity
 _COORDS = {
     WEIERSTRASS: SimpleNamespace(
         neutral=_JACOBIAN_INFINITY,
@@ -348,11 +349,12 @@ def negate(point: PointLike, curve: CurveSpec) -> PointLike:
 
 # --- scalar multiplication ---------------------------------------------------
 
-# Fixed-base comb (Lim-Lee; HMV Alg. 3.44): k mod n, exact since validate_curve
-# proves n * G neutral, is read as COMB_TEETH rows of d = ceil(bits(n) /
-# COMB_TEETH) bits; each column is a digit selecting one of 2^COMB_TEETH sums
-# of 2^(j*d) * G, so a multiple of G costs d doublings and at most d additions.
+# Fixed-base comb with two tables (Lim-Lee; HMV Alg. 3.45): k mod n, exact since
+# validate_curve proves n * G neutral, is read as 12 rows of e = ceil(bits(n) / 12)
+# bits, row i weighing tooth(i) = 2^(i*e) * G; table v sums teeth v, v + 2, ..., v + 10,
+# so a multiple of G costs e steps, one digit per table each, and <= 2e additions.
 COMB_TEETH = 6
+COMB_TABLES = 2
 # Variable-base width-w NAF (HMV Alg. 3.36): nonzero digits are odd, below
 # 2^(w-1) in size and at least w places apart, over 2^(w-2) odd multiples.
 WNAF_WIDTH = 4
@@ -365,15 +367,17 @@ TNAF_WIDTH = 4
 FIXED_BASE_TABLES = 128
 
 
-def _horner(digits, table, step, c, curve):
-    """The sum of step^i(table[u_i]) over the digits u_i, given least significant
-    first, by Horner's rule; a zero digit adds nothing.  Every scalar
+def _horner(streams, step, c, curve):
+    """The sum of step^i(table[u_i]) over the digits u_i of every (digits, table)
+    stream, digits given least significant first and as many in each stream, by
+    Horner's rule on one chain; a zero digit adds nothing.  Every scalar
     multiplication is this loop, with step the form's doubling, tau or halving."""
     acc = c.neutral
-    for u in reversed(digits):
+    for i in reversed(range(len(streams[0][0]))):
         acc = step(acc, curve)
-        if u:
-            acc = c.add(acc, table[u], curve)
+        for digits, table in streams:
+            if digits[i]:
+                acc = c.add(acc, table[digits[i]], curve)
     return acc
 
 
@@ -386,44 +390,75 @@ def _signed_table(odd, c, curve):
     return tuple(table)
 
 
-def _product(k, digits, t, table, c, curve):
-    """k * P by Horner's rule over digits(k), least significant first, digit i
-    naming the multiple of P in table that weighs 2^i.  Where _halves holds, P
+def _product(k, streams, t, c, curve):
+    """k * P by Horner's rule over streams(k), (digits, table) pairs, digit i
+    naming the multiple of P in its table that weighs 2^i.  Where _halves holds, P
     lies in 2E, and halving between the t digits of k * 2^(t-1) mod n, read from
     the least significant, weighs digit i 2^(i-t+1): the sum is k mod n times P."""
     if not _halves(curve):
-        return _horner(digits(k), table, c.double, c, curve)
-    high_first = digits((k << (t - 1)) % curve.n)[::-1]
-    high_first = [0] * (t - len(high_first)) + high_first
-    return _unhalve(_horner(high_first, table, _halve, _HALVING, curve), curve)
+        return _horner(streams(k), c.double, c, curve)
+    high_first = [
+        ([0] * (t - len(digits)) + digits[::-1], table)
+        for digits, table in streams((k << (t - 1)) % curve.n)
+    ]
+    return _unhalve(_horner(high_first, _halve, _HALVING, curve), curve)
+
+
+def _normalized(points, c, curve):
+    """The points with Z = 1, or Z = 0 at infinity, from one field inversion
+    (Montgomery's trick): 1/Z_i is the product of every other Z over the
+    product of them all, a Z of 0 counting as 1."""
+    p = curve.field
+    zs = [P[2] or 1 for P in points]
+    before = list(accumulate(zs, lambda a, z: a * z % p, initial=1))
+    after = list(accumulate(reversed(zs), lambda a, z: a * z % p, initial=1))[::-1]
+    inv = numeric.mod_inv(before[-1], p)
+    return [
+        c.lift(c.to_affine(P, curve, inv * before[i] % p * after[i + 1] % p), curve)
+        for i, P in enumerate(points)
+    ]
 
 
 @lru_cache(maxsize=FIXED_BASE_TABLES)
 def _comb_table(curve: CurveSpec) -> tuple:
-    """(d, table): the comb's row length, and the table whose entry a is
-    sum(bit j of a * 2^(j*d) * G), with Z = 1 where the form has a Z."""
+    """(e, tables): entry a of table v is sum(bit j of a * tooth(2j + v)), Z = 1 where
+    the form has a Z.  Tooth i is 2^(i*e) * G or, where _halves holds, G halved
+    (11 - i) * e times, 2^(i*e) times G halved 11e times, so that nothing doubles."""
     c = _COORDS[curve.form]
-    d = -(-curve.n.bit_length() // COMB_TEETH)
-    teeth = [c.lift(curve.g, curve)]
-    for _ in range(COMB_TEETH - 1):
-        P = teeth[-1]
-        for _ in range(d):
-            P = c.double(P, curve)
-        teeth.append(P)
-    table = [c.neutral]
-    for a in range(1, 1 << COMB_TEETH):
-        low = a & -a
-        table.append(c.add(table[a ^ low], teeth[low.bit_length() - 1], curve))
-    return d, tuple(c.lift(c.to_affine(P, curve), curve) for P in table)
+    rows = COMB_TABLES * COMB_TEETH
+    e = -(-curve.n.bit_length() // rows)
+    step = _halve if _halves(curve) else c.double
+    P = c.lift(curve.g, curve)
+    teeth = [P]
+    for _ in range(rows - 1):
+        for _ in range(e):
+            P = step(P, curve)
+        teeth.append(_unhalve(P, curve))
+    if step is _halve:
+        teeth.reverse()
+    entries = []
+    for v in range(COMB_TABLES):
+        own, table = teeth[v::COMB_TABLES], [c.neutral]
+        for a in range(1, 1 << COMB_TEETH):  # a without its lowest bit, plus that bit's tooth
+            table.append(c.add(table[a & (a - 1)], own[(a & -a).bit_length() - 1], curve))
+        entries += table
+    if curve.form != KOBLITZ:
+        entries = _normalized(entries, c, curve)
+    return e, tuple(tuple(entries[v << COMB_TEETH :][: 1 << COMB_TEETH]) for v in range(COMB_TABLES))
 
 
 def _comb_mul(k, curve, c):
-    d, table = _comb_table(curve)
-    def columns(k):  # bit j of column i is bit i + j*d of k
-        bits = format(k, f"0{COMB_TEETH * d}b")[::-1]
-        return [int(bits[i::d][::-1], 2) for i in range(d)]
+    e, tables = _comb_table(curve)
+    rows = COMB_TABLES * COMB_TEETH
+    if _halves(curve):  # tooth i is 2^(i*e) times G halved (rows - 1) * e times
+        k <<= (rows - 1) * e
 
-    return _product(k % curve.n, columns, d, table, c, curve)
+    def streams(k):  # column i of table v: bits i + (2j + v) * e of k, high j first
+        bits, span = format(k, f"0{rows * e}b"), COMB_TABLES * e
+        return [([int(bits[span - v * e - 1 - i :: span], 2) for i in range(e)], table)
+                for v, table in enumerate(tables)]
+
+    return _product(k % curve.n, streams, e, c, curve)
 
 
 def _wnaf(k):
@@ -461,7 +496,7 @@ def _naf_mul(k, point, curve, c):
         T = Point(0, f.sqrt(curve.b))
         point = c.add(point, T, curve)
     table = _wnaf_table(c.lift(point, curve), c, curve)
-    P = _product(k, _wnaf, curve.n.bit_length() + 1, table, c, curve)
+    P = _product(k, lambda k: [(_wnaf(k), table)], curve.n.bit_length() + 1, c, curve)
     return c.add(P, T, curve) if T and k & 1 else P
 
 
@@ -619,7 +654,7 @@ def _tnaf_table(point, curve, w, mu):
     c = _COORDS[KOBLITZ]
     base = _signed_table([point], c, curve)
     _, alphas = _tnaf_constants(w, mu)
-    odd = [_horner(_tnaf(a0, a1, 2, mu), base, _frobenius, c, curve) for a0, a1 in alphas]
+    odd = [_horner([(_tnaf(a0, a1, 2, mu), base)], _frobenius, c, curve) for a0, a1 in alphas]
     return _signed_table(odd, c, curve)
 
 
@@ -636,7 +671,7 @@ def _tnaf_mul(k, point, curve, c):
         w, table = TNAF_FIXED_WIDTH, _tnaf_table_of_g(curve)
     else:
         w, table = TNAF_WIDTH, _tnaf_table(point, curve, TNAF_WIDTH, mu)
-    return _horner(_tnaf(r0, r1, w, mu), table, _frobenius, c, curve)
+    return _horner([(_tnaf(r0, r1, w, mu), table)], _frobenius, c, curve)
 
 
 def _mul(k, point, curve, c):
@@ -660,7 +695,7 @@ def scalar_mul(k: int, point: PointLike, curve: CurveSpec) -> PointLike:
     as a width-w tau-adic NAF: multiples of ``curve.g`` read a table cached per
     curve, other points build theirs per call.  Elsewhere multiples of the base
     point read k mod n, exact once ``validate_curve`` has passed, through a comb
-    with one table cached per curve, and any other point uses a width-w NAF.
+    with two tables cached per curve, and any other point uses a width-w NAF.
     On the cofactor-2 binary curves both halve, reading k * 2^(t-1) mod n, and
     the NAF adds a correction by the point of order 2 that keeps it exact on
     every curve point; elsewhere both double, and the NAF is of k itself.
@@ -714,7 +749,7 @@ def validate_curve(curve: CurveSpec) -> None:
     if not is_on_curve(curve.g, curve):
         fail("base point is not on the curve")
     # n*G = neutral, checked as (n - 1)*G = -G: the comb would read n*G as 0*G;
-    # where it halves, its halves are exact for G in 2E (none outside passes)
+    # halving, in its teeth too, is exact for G in 2E (none outside passes)
     if scalar_mul(curve.n - 1, curve.g, curve) != negate(curve.g, curve):
         fail("n * G is not the neutral element")
     q = curve.field_size

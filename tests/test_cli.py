@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
 import sigforge.cli as cli_module
+import sigforge.registry as registry_module
 from sigforge.bench import BenchConfig
 from sigforge.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_USAGE, cli_main
 
@@ -182,6 +185,24 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         assert captured.out.startswith("algorithm,form,curve,")
         assert "ecdsa" in captured.out
+
+    def test_bench_reports_each_curves_first_lookup(self, monkeypatch, capsys):
+        # cold start gets its own figure on the row whose lookup validates the
+        # curve, and stays out of that row's timed repeats and of the CSV
+        suite = (
+            BenchConfig("ecdsa", curve="secp192k1"),
+            BenchConfig("eddsa", curve="secp192k1"),
+            BenchConfig("rsa", bits=512),
+        )
+        monkeypatch.setattr(cli_module, "SUITES", {"default": suite})
+        monkeypatch.setattr(registry_module, "_validated", set())
+        assert cli_main(["bench", "--repeats", "3", "--seed", "1"]) == EXIT_OK
+        captured = capsys.readouterr()
+        first, *rest = captured.err.splitlines()
+        assert re.fullmatch(r"bench: ecdsa secp192k1 done \(first lookup \d+ ms\)", first)
+        assert rest == ["bench: eddsa secp192k1 done", "bench: rsa 512 done"]
+        assert registry_module._validated == {"secp192k1"}
+        assert captured.out.splitlines()[0] == "algorithm,form,curve,key_size,hash,keygen_s,sign_s,verify_s"
 
     def test_unknown_suite_is_usage_error(self, tiny_suite):
         assert cli_main(["bench", "--suite", "huge"]) == EXIT_USAGE

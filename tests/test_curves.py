@@ -224,6 +224,73 @@ class TestScalarMul:
             assert system.verify(b"m", system.sign(b"m"))
         assert curves._comb_table.cache_info().currsize == 2
 
+    @pytest.mark.parametrize(
+        "name, table_doublings, product_doublings",
+        (
+            ("p256", 11 * 22, 22),
+            ("p521", 11 * 44, 44),
+            ("ed448", 11 * 38, 38),
+            ("sect113r1", 0, 0),
+            ("b233", 0, 0),
+            ("toy-k32h2", 0, 0),
+        ),
+    )
+    def test_g_product_takes_one_step_per_column(
+        self, name, table_doublings, product_doublings, monkeypatch
+    ):
+        # two comb tables of six teeth read e = ceil(bits(n) / 12) columns, one
+        # step each, and the teeth lie e steps apart; where halving is the
+        # step, the teeth are built by halving G, so nothing doubles at all
+        curve = _toy_or_registry_curve(name)
+        c = curves._COORDS[curve.form]
+        doublings = []
+
+        def counted_double(P, curve, double=c.double):
+            doublings.append(P)
+            return double(P, curve)
+
+        monkeypatch.setattr(c, "double", counted_double)
+        curves._comb_table.cache_clear()
+        curves._comb_table(curve)
+        assert len(doublings) == table_doublings
+        doublings.clear()
+        assert is_on_curve(scalar_mul(curve.n - 2, curve.g, curve), curve)
+        assert len(doublings) == product_doublings
+
+    @pytest.mark.parametrize(
+        "name, sampled", [(c.name, False) for c in TOYS if not curves._is_anomalous(c)]
+        + [("p256", True), ("ed448", True), ("sect113r1", True)],
+    )
+    def test_comb_tables_against_affine_oracle(self, name, sampled):
+        # entry a of table v is the sum of the teeth 2j + v over the bits j of
+        # a, where tooth i is 2^(i*e) * G, or G halved (11 - i) * e times where
+        # halving is the step; outside GF(2^m) each entry has Z = 1 from one
+        # shared inversion, except the point at infinity, which keeps Z = 0
+        curve = _toy_or_registry_curve(name)
+        c = curves._COORDS[curve.form]
+        add, e0 = _registry_oracle(curve)
+        e, tables = curves._comb_table(curve)
+        assert len(tables) == 2 and all(len(table) == 64 for table in tables)
+        halved = pow(pow(2, -1, curve.n), 11 * e, curve.n) if curves._halves(curve) else 1
+        teeth = [
+            double_and_add((halved << (i * e)) % curve.n, tuple(curve.g), add, e0) for i in range(12)
+        ]
+        entries = random.Random(name).sample(range(64), 5) if sampled else range(64)
+        neutral_entries = 0
+        for v, table in enumerate(tables):
+            for a in entries:
+                want = e0
+                for j in range(6):
+                    if a >> j & 1:
+                        want = add(want, teeth[2 * j + v])
+                assert _as_tuple(c.to_affine(table[a], curve)) == want, (v, a)
+                neutral_entries += want == e0
+                if curve.form != KOBLITZ:
+                    assert table[a][2] == (0 if want is None else 1), (v, a)
+        if not sampled:
+            # beyond entry 0 of each table, some sums of teeth cancel
+            assert neutral_entries > 2
+
     def test_negative_scalar_rejected(self):
         with pytest.raises(ValueError):
             scalar_mul(-1, TOY_W17.g, TOY_W17)

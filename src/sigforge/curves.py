@@ -13,21 +13,21 @@ Points are ``Point(x, y)`` named tuples of ints in affine coordinates; for
 binary fields the ints are the polynomial bit patterns.  Internally the group
 law runs in coordinates that need no field inversion per step: Jacobian
 (X, Y, Z) ~ (X/Z^2, Y/Z^3) on Weierstrass curves, extended twisted-Edwards
-(X, Y, Z, T) ~ (X/Z, Y/Z) with T = XY/Z on Edwards curves, and affine
-coordinates on Koblitz curves.  Each public result is converted back to
-affine exactly once, so it does not depend on the coordinates used.
+(X, Y, Z, T) ~ (X/Z, Y/Z) with T = XY/Z on Edwards curves, and affine ones on
+Koblitz curves.  Every addend has Z = 1, so addition is mixed only.  Each public
+result is converted back to affine once, so it does not depend on coordinates.
 
-Scalar multiplication is one Horner loop over streams of a scalar's digits,
-each with a table chosen from the curve's parameters.  On the anomalous binary
-curves -- koblitz form with b = 1 and a in {0, 1}: k163 and k233 in the
-registry -- the Frobenius map tau(x, y) = (x^2, y^2) replaces doubling in a
-width-w tau-adic NAF (Solinas 2000), and the scalar is reduced modulo
-tau^m - 1, which fixes every point of E(GF(2^m)): exact for any scalar and any
-curve point, whatever n and h are.  Elsewhere G's comb, two tables and so two
-streams, reads k mod n, exact since validate_curve proves n*G neutral; any
-other point takes a width-w NAF, and both run through one product.  On the
-cofactor-2 binary curves -- koblitz form, h = 2, odd n and m, not anomalous:
-sect113r1, b163 and b233 in the registry -- its step, and the comb teeth's, is
+Scalar multiplication is one Horner loop over streams of scalars' digits, each
+with a table chosen from the curve's parameters, and mul_add's two products
+share its chain.  On the anomalous binary curves -- koblitz form with b = 1 and
+a in {0, 1}: k163 and k233 in the registry -- the Frobenius map
+tau(x, y) = (x^2, y^2) replaces doubling in a width-w tau-adic NAF (Solinas
+2000), and the scalar is reduced modulo tau^m - 1, which fixes every point of
+E(GF(2^m)): exact for any scalar and curve point, whatever n and h are.
+Elsewhere G's comb, two tables and so two streams, reads k mod n, exact since
+validate_curve proves n*G neutral, and any other point takes a width-w NAF.  On
+the cofactor-2 binary curves -- koblitz form, h = 2, odd n and m, not anomalous:
+sect113r1, b163 and b233 in the registry -- the step, and the comb teeth's, is
 point halving (Knudsen 1999; HMV Alg. 3.81), no inversion, over the digits of
 k * 2^(t-1) mod n.  That is exact only on the order-n subgroup 2E, where
 Tr(x) = Tr(a) and G lies; any other point is P' + T with T = (0, sqrt(b)) of
@@ -150,7 +150,7 @@ def _double_jacobian(P, curve):
 
 
 def _add_jacobian(P, Q, curve):
-    # add-1998-cmo-2; when Q has Z = 1 (a comb table entry) this is mixed addition
+    # add-1998-cmo-2 with Z2 = 1, mixed Jacobian-affine: every addend Q is normalised
     X1, Y1, Z1 = P
     X2, Y2, Z2 = Q
     if Z1 == 0:
@@ -161,23 +161,16 @@ def _add_jacobian(P, Q, curve):
     Z1Z1 = Z1 * Z1 % p
     U2 = X2 * Z1Z1 % p
     S2 = Y2 * Z1 % p * Z1Z1 % p
-    if Z2 == 1:
-        U1, S1, Z1Z2 = X1, Y1, Z1
-    else:
-        Z2Z2 = Z2 * Z2 % p
-        U1 = X1 * Z2Z2 % p
-        S1 = Y1 * Z2 % p * Z2Z2 % p
-        Z1Z2 = Z1 * Z2 % p
-    H = (U2 - U1) % p
-    R = (S2 - S1) % p
+    H = (U2 - X1) % p
+    R = (S2 - Y1) % p
     if H == 0:  # same x: P == Q doubles, P == -Q cancels
         return _double_jacobian(P, curve) if R == 0 else _JACOBIAN_INFINITY
     HH = H * H % p
     HHH = H * HH % p
-    V = U1 * HH % p
+    V = X1 * HH % p
     X3 = (R * R - HHH - 2 * V) % p
-    Y3 = (R * (V - X3) - S1 * HHH) % p
-    return (X3, Y3, Z1Z2 * H % p)
+    Y3 = (R * (V - X3) - Y1 * HHH) % p
+    return (X3, Y3, Z1 * H % p)
 
 
 def _negate_jacobian(P, curve):
@@ -225,16 +218,15 @@ def _extended_result(E, F, G, H, curve):
 
 
 def _add_extended(P, Q, curve):
-    # add-2008-hwcd, unified: also right for P == Q and for the neutral element
+    # madd-2008-hwcd (Q normalised), unified: also right for P == Q and the neutral element
     p = curve.field
     X1, Y1, Z1, T1 = P
-    X2, Y2, Z2, T2 = Q
+    X2, Y2, _, T2 = Q
     A = X1 * X2 % p
     B = Y1 * Y2 % p
     C = curve.d * T1 % p * T2 % p
-    D = Z1 if Z2 == 1 else Z1 * Z2 % p
     E = ((X1 + Y1) * (X2 + Y2) - A - B) % p
-    return _extended_result(E, D - C, D + C, B - curve.a * A, curve)
+    return _extended_result(E, Z1 - C, Z1 + C, B - curve.a * A, curve)
 
 
 def _double_extended(P, curve):
@@ -265,7 +257,20 @@ def _to_affine_extended(P, curve, zi=None):
 # --- Koblitz: affine coordinates, one field inversion per step -------------
 
 
+class _Halved(NamedTuple):  # a half, as halve-and-add below leaves it
+    x: int
+    lam: int
+
+
+def _unhalve(P, curve):
+    """Affine form of a _Halved point, any other as it is: koblitz lift and to_affine."""
+    if type(P) is not _Halved:
+        return P
+    return Point(P.x, curve.field.mul(P.x, P.x ^ P.lam))
+
+
 def _add_koblitz(p1, p2, curve):
+    p1 = _unhalve(p1, curve)  # a halving chain's accumulator, as _halve left it
     if p1 is None:
         return p2
     if p2 is None:
@@ -293,15 +298,11 @@ def _negate_koblitz(P, curve):
     return None if P is None else Point(P.x, P.x ^ P.y)
 
 
-def _affine(P, curve):
-    return P
-
-
 # One form's internal point representation and its group law on it:
 #   neutral              the neutral element
 #   lift(point, curve)   affine Point (or None) -> internal point
 #   double(P, curve)     2P
-#   add(P, Q, curve)     P + Q, for any P and Q
+#   add(P, Q, curve)     P + Q, for any P and a Q with Z = 1 (Z = 0 at infinity)
 #   negate(P, curve)     -P
 #   to_affine(P, curve[, 1/Z])  internal point -> affine Point, or None at infinity
 _COORDS = {
@@ -323,11 +324,11 @@ _COORDS = {
     ),
     KOBLITZ: SimpleNamespace(
         neutral=None,
-        lift=_affine,
+        lift=_unhalve,
         double=_double_koblitz,
         add=_add_koblitz,
         negate=_negate_koblitz,
-        to_affine=_affine,
+        to_affine=_unhalve,
     ),
 }
 
@@ -370,8 +371,8 @@ FIXED_BASE_TABLES = 128
 def _horner(streams, step, c, curve):
     """The sum of step^i(table[u_i]) over the digits u_i of every (digits, table)
     stream, digits given least significant first and as many in each stream, by
-    Horner's rule on one chain; a zero digit adds nothing.  Every scalar
-    multiplication is this loop, with step the form's doubling, tau or halving."""
+    Horner's rule on one chain; a zero digit adds nothing.  _product runs every
+    scalar multiplication through it, stepping by doubling, tau or halving."""
     acc = c.neutral
     for i in reversed(range(len(streams[0][0]))):
         acc = step(acc, curve)
@@ -390,24 +391,39 @@ def _signed_table(odd, c, curve):
     return tuple(table)
 
 
-def _product(k, streams, t, c, curve):
-    """k * P by Horner's rule over streams(k), (digits, table) pairs, digit i
-    naming the multiple of P in its table that weighs 2^i.  Where _halves holds, P
-    lies in 2E, and halving between the t digits of k * 2^(t-1) mod n, read from
-    the least significant, weighs digit i 2^(i-t+1): the sum is k mod n times P."""
-    if not _halves(curve):
-        return _horner(streams(k), c.double, c, curve)
-    high_first = [
-        ([0] * (t - len(digits)) + digits[::-1], table)
-        for digits, table in streams((k << (t - 1)) % curve.n)
-    ]
-    return _unhalve(_horner(high_first, _halve, _HALVING, curve), curve)
+def _product(terms, c, curve):
+    """The sum of k * P over terms (k, read, t, T) on one chain: read(k) gives the
+    (digits, table) streams, digit i naming the multiple of P that weighs 2^i, or
+    tau^i on the anomalous curves, shorter streams padded with zeros.  Where
+    _halves holds, P lies in 2E, and halving between the t digits of
+    k * 2^(t-1) mod n, t the longest term's, read from the least significant,
+    weighs digit i 2^(i-t+1): k mod n times P, and T, of order 2, adds for odd k."""
+    if _halves(curve):
+        t = max(term[2] for term in terms)
+        streams = [
+            ([0] * (t - len(digits)) + digits[::-1], table)
+            for k, read, _, _ in terms
+            for digits, table in read((k << (t - 1)) % curve.n)
+        ]
+        step = _halve
+    else:
+        streams = [stream for k, read, _, _ in terms for stream in read(k)]
+        t = max(len(digits) for digits, _ in streams)
+        streams = [(digits + [0] * (t - len(digits)), table) for digits, table in streams]
+        step = _frobenius if _is_anomalous(curve) else c.double
+    acc = _horner(streams, step, c, curve)
+    for k, _, _, T in terms:
+        if T and k & 1:
+            acc = c.add(acc, T, curve)
+    return acc
 
 
 def _normalized(points, c, curve):
     """The points with Z = 1, or Z = 0 at infinity, from one field inversion
-    (Montgomery's trick): 1/Z_i is the product of every other Z over the
-    product of them all, a Z of 0 counting as 1."""
+    (Montgomery's trick): 1/Z_i is the product of every other Z over the product
+    of them all, a Z of 0 counting as 1.  Koblitz points are affine already."""
+    if curve.form == KOBLITZ:
+        return points
     p = curve.field
     zs = [P[2] or 1 for P in points]
     before = list(accumulate(zs, lambda a, z: a * z % p, initial=1))
@@ -421,8 +437,8 @@ def _normalized(points, c, curve):
 
 @lru_cache(maxsize=FIXED_BASE_TABLES)
 def _comb_table(curve: CurveSpec) -> tuple:
-    """(e, tables): entry a of table v is sum(bit j of a * tooth(2j + v)), Z = 1 where
-    the form has a Z.  Tooth i is 2^(i*e) * G or, where _halves holds, G halved
+    """(e, tables): entry a of table v is sum(bit j of a * tooth(2j + v)); teeth and
+    entries are normalised.  Tooth i is 2^(i*e) * G or, where _halves holds, G halved
     (11 - i) * e times, 2^(i*e) times G halved 11e times, so that nothing doubles."""
     c = _COORDS[curve.form]
     rows = COMB_TABLES * COMB_TEETH
@@ -436,18 +452,18 @@ def _comb_table(curve: CurveSpec) -> tuple:
         teeth.append(_unhalve(P, curve))
     if step is _halve:
         teeth.reverse()
-    entries = []
+    teeth, entries = _normalized(teeth, c, curve), []
     for v in range(COMB_TABLES):
         own, table = teeth[v::COMB_TABLES], [c.neutral]
         for a in range(1, 1 << COMB_TEETH):  # a without its lowest bit, plus that bit's tooth
             table.append(c.add(table[a & (a - 1)], own[(a & -a).bit_length() - 1], curve))
         entries += table
-    if curve.form != KOBLITZ:
-        entries = _normalized(entries, c, curve)
+    entries = _normalized(entries, c, curve)
     return e, tuple(tuple(entries[v << COMB_TEETH :][: 1 << COMB_TEETH]) for v in range(COMB_TABLES))
 
 
-def _comb_mul(k, curve, c):
+def _comb_term(k, curve):
+    """k * G as a term of _product: the comb's two streams of e columns."""
     e, tables = _comb_table(curve)
     rows = COMB_TABLES * COMB_TEETH
     if _halves(curve):  # tooth i is 2^(i*e) times G halved (rows - 1) * e times
@@ -458,7 +474,7 @@ def _comb_mul(k, curve, c):
         return [([int(bits[span - v * e - 1 - i :: span], 2) for i in range(e)], table)
                 for v, table in enumerate(tables)]
 
-    return _product(k % curve.n, streams, e, c, curve)
+    return k % curve.n, streams, e, None
 
 
 def _wnaf(k):
@@ -478,26 +494,26 @@ def _wnaf(k):
 
 
 def _wnaf_table(P, c, curve):
-    """Signed-digit table of the odd multiples of P that width-WNAF_WIDTH NAF digits name."""
-    twice = c.double(P, curve)
+    """Signed-digit table of the odd multiples of P that width-WNAF_WIDTH NAF digits
+    name, normalised, as is the 2P that builds them."""
+    twice = _normalized([c.double(P, curve)], c, curve)[0]
     odd = [P]  # odd[i] = (2i + 1) * P
     for _ in range((1 << (WNAF_WIDTH - 2)) - 1):
         odd.append(c.add(odd[-1], twice, curve))
-    return _signed_table(odd, c, curve)
+    return _signed_table(_normalized(odd, c, curve), c, curve)
 
 
-def _naf_mul(k, point, curve, c):
-    """k * point by a width-w NAF of k or, where _halves holds, of k mod n, exact
-    on 2E only: a point P outside it, Tr(x) != Tr(a), is P' + T with
-    T = (0, sqrt(b)) of order 2 and P' = P + T in 2E, and k*P = k*P' + (k mod 2)*T."""
+def _naf_term(k, point, curve, c):
+    """k * point as a term: a width-w NAF of k or, where _halves holds, of
+    k * 2^(t-1) mod n, exact on 2E only: a point P outside it, Tr(x) != Tr(a), is
+    P' + T with T = (0, sqrt(b)) of order 2, P' = P + T in 2E, and k*P = k*P' + (k mod 2)*T."""
     f = curve.field
     T = None
     if _halves(curve) and point is not None and f.trace(point.x) != f.trace(curve.a):
         T = Point(0, f.sqrt(curve.b))
         point = c.add(point, T, curve)
     table = _wnaf_table(c.lift(point, curve), c, curve)
-    P = _product(k, lambda k: [(_wnaf(k), table)], curve.n.bit_length() + 1, c, curve)
-    return c.add(P, T, curve) if T and k & 1 else P
+    return k, lambda k: [(_wnaf(k), table)], curve.n.bit_length() + 1, T
 
 
 # --- cofactor-2 binary curves: halve-and-add (Knudsen 1999; HMV 3.6) --------
@@ -510,11 +526,6 @@ def _naf_mul(k, point, curve, c):
 # y = x(x + lambda) costs one multiply, paid only before an addition.
 
 
-class _Halved(NamedTuple):
-    x: int
-    lam: int
-
-
 def _halves(curve):
     """Whether halving replaces doubling: koblitz form, h = 2, odd n and m, and
     not anomalous; in the registry sect113r1, b163 and b233."""
@@ -525,13 +536,6 @@ def _halves(curve):
         and curve.field.m % 2 == 1
         and not _is_anomalous(curve)
     )
-
-
-def _unhalve(P, curve):
-    """Affine form of a _Halved point; any other point as it is."""
-    if type(P) is not _Halved:
-        return P
-    return Point(P.x, curve.field.mul(P.x, P.x ^ P.lam))
 
 
 def _halve(P, curve):
@@ -553,13 +557,6 @@ def _halve(P, curve):
     if f.trace(t):
         return _Halved(f.sqrt(t), lam ^ 1)
     return _Halved(f.sqrt(t ^ x), lam)
-
-
-# _horner's view of halve-and-add: additions take the accumulator as _halve
-# left it and return affine points, which _halve also accepts
-_HALVING = SimpleNamespace(
-    neutral=None, add=lambda P, Q, curve: _add_koblitz(_unhalve(P, curve), Q, curve)
-)
 
 
 # --- anomalous binary curves: tau-adic NAF (Solinas 2000; HMV 3.4) ----------
@@ -659,32 +656,33 @@ def _tnaf_table(point, curve, w, mu):
 
 
 @lru_cache(maxsize=FIXED_BASE_TABLES)
-def _tnaf_table_of_g(curve):
-    return _tnaf_table(curve.g, curve, TNAF_FIXED_WIDTH, 1 if curve.a == 1 else -1)
+def _tnaf_table_of_g(curve, mu):
+    return _tnaf_table(curve.g, curve, TNAF_FIXED_WIDTH, mu)
 
 
-def _tnaf_mul(k, point, curve, c):
-    """k * point on an anomalous binary curve; point has passed _require_on_curve."""
+def _tnaf_term(k, point, curve):
+    """k * point as a term of _product on an anomalous binary curve: the width-w
+    tau-adic NAF of k reduced modulo tau^m - 1; no halving, so no chain length."""
     mu = 1 if curve.a == 1 else -1
-    r0, r1 = _tau_reduce(k, *_frobenius_modulus(curve.field.m, mu), mu)
+    r = _tau_reduce(k, *_frobenius_modulus(curve.field.m, mu), mu)
     if point == curve.g:
-        w, table = TNAF_FIXED_WIDTH, _tnaf_table_of_g(curve)
+        w, table = TNAF_FIXED_WIDTH, _tnaf_table_of_g(curve, mu)
     else:
         w, table = TNAF_WIDTH, _tnaf_table(point, curve, TNAF_WIDTH, mu)
-    return _horner([(_tnaf(r0, r1, w, mu), table)], _frobenius, c, curve)
+    return r, lambda r: [(_tnaf(*r, w, mu), table)], None, None
 
 
-def _mul(k, point, curve, c):
-    """k * point in the form's internal coordinates: the tau-adic NAF on the
-    anomalous binary curves, elsewhere the comb for G and the NAF otherwise."""
+def _term(k, point, curve, c):
+    """k * point as a term of _product: the tau-adic NAF on the anomalous binary
+    curves, elsewhere the comb for G and the NAF otherwise."""
     if k < 0:
         raise ValueError("scalar must be non-negative")
     _require_on_curve(point, curve)
     if _is_anomalous(curve):
-        return _tnaf_mul(k, point, curve, c)
+        return _tnaf_term(k, point, curve)
     if point == curve.g:
-        return _comb_mul(k, curve, c)
-    return _naf_mul(k, point, curve, c)
+        return _comb_term(k, curve)
+    return _naf_term(k, point, curve, c)
 
 
 def scalar_mul(k: int, point: PointLike, curve: CurveSpec) -> PointLike:
@@ -701,13 +699,15 @@ def scalar_mul(k: int, point: PointLike, curve: CurveSpec) -> PointLike:
     every curve point; elsewhere both double, and the NAF is of k itself.
     """
     c = _COORDS[curve.form]
-    return c.to_affine(_mul(k, point, curve, c), curve)
+    return c.to_affine(_product([_term(k, point, curve, c)], c, curve), curve)
 
 
 def mul_add(k1: int, p1: PointLike, k2: int, p2: PointLike, curve: CurveSpec) -> PointLike:
-    """k1 * p1 + k2 * p2, each product as in ``scalar_mul``, converted to affine once."""
+    """k1 * p1 + k2 * p2, each scalar read as in ``scalar_mul``; both products share
+    one chain of doublings, tau maps or halvings (interleaving; HMV 3.3.3), as
+    long as the longer product alone, and the sum is converted to affine once."""
     c = _COORDS[curve.form]
-    return c.to_affine(c.add(_mul(k1, p1, curve, c), _mul(k2, p2, curve, c), curve), curve)
+    return c.to_affine(_product([_term(k1, p1, curve, c), _term(k2, p2, curve, c)], c, curve), curve)
 
 
 def validate_curve(curve: CurveSpec) -> None:

@@ -13,7 +13,7 @@ such as a profiler's, also sees the calls made through the table.
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-from .curves import Point, scalar_mul
+from .curves import Point, is_neutral, scalar_mul
 from .ec_signatures import (
     EcKey,
     EddsaSignature,
@@ -129,6 +129,9 @@ def _parse_ec_key(form, name, qx, qy, ka=None):
         raise KeyFileError(f"field 'form': curve {curve.name!r} has form {curve.form!r}")
     public = Point(qx, qy)
     _refuse(ec_public_problem(curve, public))
+    # import-only, like DSA's y^q: where h > 1 a curve point need not have order n
+    if curve.h > 1 and not is_neutral(scalar_mul(curve.n, public, curve), curve):
+        raise KeyFileError("fields 'qx', 'qy' are not a point of the order-n subgroup")
     if ka is not None:
         if not 0 < ka < curve.n:
             raise KeyFileError("field 'ka' is out of range")

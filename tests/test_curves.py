@@ -291,6 +291,77 @@ class TestScalarMul:
             # beyond entry 0 of each table, some sums of teeth cancel
             assert neutral_entries > 2
 
+    @pytest.mark.parametrize("name", ("p256", "ed25519", "k163", "b233", "toy-k32h2"))
+    def test_mul_add_takes_one_chain(self, name, monkeypatch):
+        # verify's two products share one chain of the curve's step: past the
+        # steps that build Q's table, mul_add takes no more of them than the
+        # longer of its two products alone, where two chains took their sum
+        curve = _toy_or_registry_curve(name)
+        c = curves._COORDS[curve.form]
+        if curves._is_anomalous(curve):
+            owner, attribute = curves, "_frobenius"
+        elif curves._halves(curve):
+            owner, attribute = curves, "_halve"
+        else:
+            owner, attribute = c, "double"
+        steps, in_tables = [], []
+
+        def counted_step(P, curve, step=getattr(owner, attribute)):
+            steps.append(P)
+            return step(P, curve)
+
+        def counted_build(*args, build):
+            before = len(steps)
+            table = build(*args)
+            in_tables.append(len(steps) - before)
+            return table
+
+        def chain_steps(run):
+            steps.clear()
+            in_tables.clear()
+            run()
+            return len(steps) - sum(in_tables)
+
+        Q = scalar_mul(3, curve.g, curve)
+        scalar_mul(1, curve.g, curve)  # G's tables are built and cached
+        monkeypatch.setattr(owner, attribute, counted_step)
+        for builder in ("_wnaf_table", "_tnaf_table"):
+            build = functools.partial(counted_build, build=getattr(curves, builder))
+            monkeypatch.setattr(curves, builder, build)
+        rng = random.Random(name)
+        for _ in range(6):
+            u1, u2 = rng.randrange(1, curve.n), rng.randrange(1, curve.n)
+            g_alone = chain_steps(lambda: scalar_mul(u1, curve.g, curve))
+            q_alone = chain_steps(lambda: scalar_mul(u2, Q, curve))
+            both = chain_steps(lambda: mul_add(u1, curve.g, u2, Q, curve))
+            assert g_alone > 0 and q_alone > 0 and in_tables
+            assert both <= max(g_alone, q_alone), (u1, u2)
+
+    @pytest.mark.parametrize("name", ("toy-w17", "toy-ed13", "p256", "ed448"))
+    def test_every_addend_is_normalised(self, name, monkeypatch):
+        # one addition formula per form, the mixed one: whatever runs, the
+        # second operand of an addition has Z = 1, or Z = 0 at infinity
+        curve = _toy_or_registry_curve(name)
+        c = curves._COORDS[curve.form]
+        addends = []
+
+        def recorded_add(P, Q, curve, add=c.add):
+            addends.append(Q)
+            return add(P, Q, curve)
+
+        monkeypatch.setattr(c, "add", recorded_add)
+        curves._comb_table.cache_clear()
+        curves._comb_table(curve)
+        P = point_add(curve.g, curve.g, curve)
+        for k in (1, 2, 3, curve.n - 1, curve.n + 5):
+            scalar_mul(k, curve.g, curve)
+            scalar_mul(k, P, curve)
+            mul_add(k, curve.g, k + 1, P, curve)
+            mul_add(k, P, k + 2, negate(P, curve), curve)
+            point_add(P, scalar_mul(k, curve.g, curve), curve)
+        assert len(addends) > 200
+        assert {Q[2] for Q in addends} <= {0, 1}
+
     def test_negative_scalar_rejected(self):
         with pytest.raises(ValueError):
             scalar_mul(-1, TOY_W17.g, TOY_W17)
@@ -363,13 +434,27 @@ class TestScalarMulAgainstAffineOracle:
         u2 = rng.randrange(1, n)
         u2Q = double_and_add(u2, Q, add, e)
         for u1 in (rng.randrange(1, n), (n - u2 * j) % n, u2 * j % n):
-            want = add(double_and_add(u1, G, add, e), u2Q)
+            u1G = double_and_add(u1, G, add, e)
+            want = add(u1G, u2Q)
             assert self.as_tuple(mul_add(u1, curve.g, u2, Point(*Q), curve)) == want, u1
+            # G as the second argument, and as both
+            assert self.as_tuple(mul_add(u2, Point(*Q), u1, curve.g, curve)) == want, u1
+            assert self.as_tuple(mul_add(u1, curve.g, u1, curve.g, curve)) == add(u1G, u1G), u1
+        # a zero scalar on either side leaves the other product alone
+        assert self.as_tuple(mul_add(0, curve.g, u2, Point(*Q), curve)) == u2Q
+        assert self.as_tuple(mul_add(u1, curve.g, 0, Point(*Q), curve)) == u1G
+        assert self.as_tuple(mul_add(0, curve.g, 0, Point(*Q), curve)) == e
         # EdDSA R + h*Q with a challenge h below the challenge modulus
-        R = double_and_add(rng.randrange(1, n), G, add, e)
+        r = rng.randrange(1, n)
+        R = double_and_add(r, G, add, e)
         h = rng.randrange(curve.field_size)
-        want = add(R, double_and_add(h, Q, add, e))
-        assert self.as_tuple(mul_add(1, Point(*R), h, Point(*Q), curve)) == want
+        hQ = double_and_add(h, Q, add, e)
+        assert self.as_tuple(mul_add(1, Point(*R), h, Point(*Q), curve)) == add(R, hQ)
+        # two points neither of which is G, and a zero scalar beside one of them
+        assert self.as_tuple(mul_add(u2, Point(*Q), j, Point(*R), curve)) == add(
+            u2Q, double_and_add(r * j % n, G, add, e)
+        )
+        assert self.as_tuple(mul_add(h, Point(*Q), 0, Point(*R), curve)) == hQ
 
     @pytest.mark.parametrize("name", ("k163", "k233") + HALVING_CURVES)
     def test_point_with_two_torsion_component(self, name):
@@ -385,11 +470,17 @@ class TestScalarMulAgainstAffineOracle:
         assert add(T, T) is None
         Q = add(tuple(curve.g), T)
         want = self.oracle_multiples(scalars, Q, add, e)
+        # a second point outside the subgroup: with both scalars odd, T + T cancels
+        P = add(double_and_add(2, tuple(curve.g), add, e), T)
+        odd = self.oracle_multiples({2 * curve.n - 1, 3}, P, add, e)
         for k in scalars:
             assert self.as_tuple(scalar_mul(k, Point(*Q), curve)) == want[k], k
             assert self.as_tuple(mul_add(k, Point(*Q), 1, curve.g, curve)) == add(
                 want[k], tuple(curve.g)
             ), k
+            for k2, k2P in odd.items():
+                got = mul_add(k, Point(*Q), k2, Point(*P), curve)
+                assert self.as_tuple(got) == add(want[k], k2P), (k, k2)
 
     def test_fast_oracle_laws_match_toy_oracles(self):
         # the registry oracle's inverses and products agree with brute force
@@ -431,10 +522,10 @@ class TestTauAdicNaf:
             return double(P, curve)
 
         if curves._is_anomalous(curve):
-            monkeypatch.setattr(curves, "_comb_mul", unused)
-            monkeypatch.setattr(curves, "_naf_mul", unused)
+            monkeypatch.setattr(curves, "_comb_term", unused)
+            monkeypatch.setattr(curves, "_naf_term", unused)
         else:
-            monkeypatch.setattr(curves, "_tnaf_mul", unused)
+            monkeypatch.setattr(curves, "_tnaf_term", unused)
         for P in (curve.g, point_add(curve.g, curve.g, curve)):
             assert is_on_curve(scalar_mul(curve.n + 3, P, curve), curve)
         monkeypatch.setattr(c, "double", counted_double)

@@ -13,7 +13,7 @@ from sigforge.ec_signatures import (
     eddsa_sign,
 )
 from sigforge.cryptosystem import verify_message
-from sigforge.curves import Point, is_on_curve
+from sigforge.curves import EDWARDS, Point, is_neutral, is_on_curve, point_add
 from sigforge.errors import KeyFileError, MissingPrivateKeyError
 from sigforge.ff_signatures import (
     DsaSignature,
@@ -246,6 +246,29 @@ class TestKeyValidation:
             lines[index] = f"{name}: {value}"
         with pytest.raises(KeyFileError, match=match):
             parse_key("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "name", ("ed25519", "ed448", "e521", "numsp384t1", "k163", "b163", "k233", "b233", "sect113r1")
+    )
+    def test_public_point_outside_the_order_n_subgroup_refused(self, name):
+        # Q + T, with T of order 2, is a curve point of order 2n: (0, -1) on an
+        # Edwards curve and (0, sqrt(b)) on a binary one; like DSA's y^q = 1,
+        # n * Q = O is checked on import wherever the cofactor h is above 1
+        curve = get_curve(name)
+        assert curve.h > 1
+        key = ec_keygen(curve, RngHandle(107))
+        if curve.form == EDWARDS:
+            algorithm, T = "eddsa", Point(0, curve.field - 1)
+        else:
+            algorithm, T = "ecdsa", Point(0, curve.field.sqrt(curve.b))
+        assert is_on_curve(T, curve) and is_neutral(point_add(T, T, curve), curve)
+        text = render_key(algorithm, key, public_only=True)
+        assert parse_key(text) == (algorithm, key.public_only())
+        moved = point_add(key.q, T, curve)
+        text = text.replace(f"qx: {key.q.x}\n", f"qx: {moved.x}\n")
+        text = text.replace(f"qy: {key.q.y}\n", f"qy: {moved.y}\n")
+        with pytest.raises(KeyFileError, match="not a point of the order-n subgroup"):
+            parse_key(text)
 
     def test_dsa_composite_subgroup_order_verifies_to_false(self):
         # q | p - 1 and g, y of order dividing q, but q = 3 * prime: the file

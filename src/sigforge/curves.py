@@ -19,7 +19,8 @@ result is converted back to affine once, so it does not depend on coordinates.
 
 Scalar multiplication is one Horner loop over streams of scalars' digits, each
 with a table chosen from the curve's parameters, and mul_add's two products
-share its chain.  On the anomalous binary curves -- koblitz form with b = 1 and
+share its chain; that loop and G's comb are numeric's, which DSA's g and y read
+too.  On the anomalous binary curves -- koblitz form with b = 1 and
 a in {0, 1}: k163 and k233 in the registry -- the Frobenius map
 tau(x, y) = (x^2, y^2) replaces doubling in a width-w tau-adic NAF (Solinas
 2000), and the scalar is reduced modulo tau^m - 1, which fixes every point of
@@ -36,7 +37,7 @@ is doubling, and the NAF is of k itself.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from types import SimpleNamespace
 from typing import NamedTuple, Optional, Union
@@ -350,12 +351,9 @@ def negate(point: PointLike, curve: CurveSpec) -> PointLike:
 
 # --- scalar multiplication ---------------------------------------------------
 
-# Fixed-base comb with two tables (Lim-Lee; HMV Alg. 3.45): k mod n, exact since
+# G's comb (numeric.comb_teeth and numeric.comb_tables): k mod n, exact since
 # validate_curve proves n * G neutral, is read as 12 rows of e = ceil(bits(n) / 12)
-# bits, row i weighing tooth(i) = 2^(i*e) * G; table v sums teeth v, v + 2, ..., v + 10,
-# so a multiple of G costs e steps, one digit per table each, and <= 2e additions.
-COMB_TEETH = 6
-COMB_TABLES = 2
+# bits, so a multiple of G costs e steps and <= 2e additions.
 # Variable-base width-w NAF (HMV Alg. 3.36): nonzero digits are odd, below
 # 2^(w-1) in size and at least w places apart, over 2^(w-2) odd multiples.
 WNAF_WIDTH = 4
@@ -366,20 +364,6 @@ TNAF_FIXED_WIDTH = 6
 TNAF_WIDTH = 4
 # fixed-base tables kept: comb tables and tau-adic tables of G, one per curve
 FIXED_BASE_TABLES = 128
-
-
-def _horner(streams, step, c, curve):
-    """The sum of step^i(table[u_i]) over the digits u_i of every (digits, table)
-    stream, digits given least significant first and as many in each stream, by
-    Horner's rule on one chain; a zero digit adds nothing.  _product runs every
-    scalar multiplication through it, stepping by doubling, tau or halving."""
-    acc = c.neutral
-    for i in reversed(range(len(streams[0][0]))):
-        acc = step(acc, curve)
-        for digits, table in streams:
-            if digits[i]:
-                acc = c.add(acc, table[digits[i]], curve)
-    return acc
 
 
 def _signed_table(odd, c, curve):
@@ -411,7 +395,7 @@ def _product(terms, c, curve):
         t = max(len(digits) for digits, _ in streams)
         streams = [(digits + [0] * (t - len(digits)), table) for digits, table in streams]
         step = _frobenius if _is_anomalous(curve) else c.double
-    acc = _horner(streams, step, c, curve)
+    acc = numeric.horner(streams, step, c.add, c.neutral, curve)
     for k, _, _, T in terms:
         if T and k & 1:
             acc = c.add(acc, T, curve)
@@ -421,9 +405,9 @@ def _product(terms, c, curve):
 def _normalized(points, c, curve):
     """The points with Z = 1, or Z = 0 at infinity, from one field inversion
     (Montgomery's trick): 1/Z_i is the product of every other Z over the product
-    of them all, a Z of 0 counting as 1.  Koblitz points are affine already."""
+    of them all, a Z of 0 counting as 1.  Koblitz points need only unhalving."""
     if curve.form == KOBLITZ:
-        return points
+        return [_unhalve(P, curve) for P in points]
     p = curve.field
     zs = [P[2] or 1 for P in points]
     before = list(accumulate(zs, lambda a, z: a * z % p, initial=1))
@@ -437,44 +421,23 @@ def _normalized(points, c, curve):
 
 @lru_cache(maxsize=FIXED_BASE_TABLES)
 def _comb_table(curve: CurveSpec) -> tuple:
-    """(e, tables): entry a of table v is sum(bit j of a * tooth(2j + v)); teeth and
-    entries are normalised.  Tooth i is 2^(i*e) * G or, where _halves holds, G halved
-    (11 - i) * e times, 2^(i*e) times G halved 11e times, so that nothing doubles."""
+    """(e, tables) of G's comb, teeth and entries normalised.  Tooth i is
+    2^(i*e) * G or, where _halves holds, G halved (11 - i) * e times, 2^(i*e) times
+    G halved 11e times, so that nothing doubles."""
     c = _COORDS[curve.form]
-    rows = COMB_TABLES * COMB_TEETH
-    e = -(-curve.n.bit_length() // rows)
     step = _halve if _halves(curve) else c.double
-    P = c.lift(curve.g, curve)
-    teeth = [P]
-    for _ in range(rows - 1):
-        for _ in range(e):
-            P = step(P, curve)
-        teeth.append(_unhalve(P, curve))
+    e, teeth = numeric.comb_teeth(c.lift(curve.g, curve), curve.n.bit_length(), step, curve)
     if step is _halve:
         teeth.reverse()
-    teeth, entries = _normalized(teeth, c, curve), []
-    for v in range(COMB_TABLES):
-        own, table = teeth[v::COMB_TABLES], [c.neutral]
-        for a in range(1, 1 << COMB_TEETH):  # a without its lowest bit, plus that bit's tooth
-            table.append(c.add(table[a & (a - 1)], own[(a & -a).bit_length() - 1], curve))
-        entries += table
-    entries = _normalized(entries, c, curve)
-    return e, tuple(tuple(entries[v << COMB_TEETH :][: 1 << COMB_TEETH]) for v in range(COMB_TABLES))
+    return e, numeric.comb_tables(teeth, c.add, c.neutral, curve, partial(_normalized, c=c, curve=curve))
 
 
 def _comb_term(k, curve):
     """k * G as a term of _product: the comb's two streams of e columns."""
     e, tables = _comb_table(curve)
-    rows = COMB_TABLES * COMB_TEETH
-    if _halves(curve):  # tooth i is 2^(i*e) times G halved (rows - 1) * e times
-        k <<= (rows - 1) * e
-
-    def streams(k):  # column i of table v: bits i + (2j + v) * e of k, high j first
-        bits, span = format(k, f"0{rows * e}b"), COMB_TABLES * e
-        return [([int(bits[span - v * e - 1 - i :: span], 2) for i in range(e)], table)
-                for v, table in enumerate(tables)]
-
-    return k % curve.n, streams, e, None
+    if _halves(curve):  # tooth i is 2^(i*e) times G halved 11e times
+        k <<= (numeric.COMB_ROWS - 1) * e
+    return k % curve.n, lambda k: numeric.comb_streams(k, e, tables), e, None
 
 
 def _wnaf(k):
@@ -651,7 +614,8 @@ def _tnaf_table(point, curve, w, mu):
     c = _COORDS[KOBLITZ]
     base = _signed_table([point], c, curve)
     _, alphas = _tnaf_constants(w, mu)
-    odd = [_horner([(_tnaf(a0, a1, 2, mu), base)], _frobenius, c, curve) for a0, a1 in alphas]
+    odd = [numeric.horner([(_tnaf(a0, a1, 2, mu), base)], _frobenius, c.add, c.neutral, curve)
+           for a0, a1 in alphas]
     return _signed_table(odd, c, curve)
 
 

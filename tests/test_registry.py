@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from sigforge import registry
+import sigforge
 from sigforge.curves import is_on_curve, negate, scalar_mul, validate_curve
 from sigforge.errors import UnknownCurveError
 from sigforge.numeric import RngHandle, is_probable_prime, rand_below
@@ -43,6 +48,10 @@ def test_registry_size():
     assert len(curve_names()) >= 14
 
 
+def test_every_curve_has_a_published_order_size():
+    assert set(ORDER_BITS) == set(curve_names())
+
+
 @pytest.mark.parametrize("name,bits", sorted(ORDER_BITS.items()))
 def test_order_bits_match_published_sizes(name, bits):
     assert get_curve(name).n.bit_length() == bits
@@ -55,34 +64,34 @@ def test_unknown_curve_lists_names():
     assert "ed25519" in str(err.value)
 
 
-def test_validation_is_lazy_and_per_curve(monkeypatch):
-    validated = []
-    monkeypatch.setattr(registry, "validate_curve", lambda spec: validated.append(spec.name))
-    monkeypatch.setattr(registry, "_validated", set())
-    assert len(curve_names()) == 14
-    assert validated == []
-    get_curve("p256")
-    get_curve("P256")
-    get_curve("ed25519")
-    assert validated == ["p256", "ed25519"]
+# a fresh process, so that no earlier test's work can stand in for the lookup's
+NO_CHECK_LOOKUP = """
+from sigforge import curves, numeric
+from sigforge.registry import curve_names, get_curve
+
+def refuse(*args):
+    raise AssertionError("a lookup ran a check")
+
+curves.validate_curve = numeric.is_probable_prime = refuse
+for name in curve_names():
+    assert get_curve(name).name == name
+assert get_curve("P256") is get_curve("p256")
+"""
 
 
-def test_failed_validation_is_not_cached(monkeypatch):
-    def reject(spec):
-        raise ValueError(f"curve {spec.name!r}: rejected")
-
-    monkeypatch.setattr(registry, "validate_curve", reject)
-    monkeypatch.setattr(registry, "_validated", set())
-    for _ in range(2):
-        with pytest.raises(ValueError, match="rejected"):
-            get_curve("k163")
+def test_lookup_runs_no_check():
+    # registry constants are proved once, by test_full_invariants; a lookup reads the table
+    src = str(Path(sigforge.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", NO_CHECK_LOOKUP], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_lookup_is_case_insensitive():
     assert get_curve("ED25519") is get_curve("ed25519")
 
 
-@pytest.mark.parametrize("name", sorted(ORDER_BITS))
+@pytest.mark.parametrize("name", curve_names())
 def test_full_invariants(name):
     curve = get_curve(name)
     validate_curve(curve)

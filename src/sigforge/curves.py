@@ -16,6 +16,10 @@ law runs in coordinates that need no field inversion per step: Jacobian
 (X, Y, Z, T) ~ (X/Z, Y/Z) with T = XY/Z on Edwards curves, and affine ones on
 Koblitz curves.  Every addend has Z = 1, so addition is mixed only.  Each public
 result is converted back to affine once, so it does not depend on coordinates.
+The prime-field formulas read a and d centred, as -3 rather than p - 3, the
+Weierstrass doubling is the one a picks (dbl-2001-b for a = -3, M = 3X^2 for
+a = 0), and where p = 2^k - 1 every ``% p`` folds 2^k to 1 before the native
+remainder: each chosen once per curve, from its parameters (``CurveSpec._law``).
 
 Scalar multiplication is one Horner loop over streams of scalars' digits, each
 with a table chosen from the curve's parameters, and mul_add's two products
@@ -37,7 +41,7 @@ is doubling, and the NAF is of k itself.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate
 from types import SimpleNamespace
 from typing import NamedTuple, Optional, Union
@@ -68,6 +72,12 @@ class CurveSpec:
     parameter conventionally called d (exposed as the ``d`` property).
     The curve operations trust these values: the tests prove every registry
     curve with ``validate_curve``, and any other must pass it before use.
+
+    On a prime field the group law reads constants derived from these fields
+    once per curve and cached on it, not compared, hashed or shown: ``_p``,
+    the modulus its formulas reduce by (``_reduction_modulus``); ``_a`` and
+    ``_d``, the coefficients centred, so that a = p - 3 is read as -3; and
+    ``_law``, the form's coordinates with the doubling chosen by that a.
     """
 
     name: str
@@ -88,6 +98,49 @@ class CurveSpec:
         if isinstance(self.field, BinaryField):
             return self.field.size
         return self.field
+
+    @cached_property
+    def _p(self):
+        return _reduction_modulus(self.field)
+
+    @cached_property
+    def _a(self):
+        return _centred(self.a, self.field)
+
+    @cached_property
+    def _d(self):
+        return _centred(self.d, self.field)
+
+    @cached_property
+    def _law(self):
+        law = SimpleNamespace(**vars(_COORDS[self.form]))
+        if self.form == WEIERSTRASS:
+            law.double = _JACOBIAN_DOUBLINGS.get(self._a, _double_jacobian)
+        return law
+
+
+def _centred(c, p):
+    """c mod p as the residue of least absolute value."""
+    c %= p
+    return c - p if c > p // 2 else c
+
+
+def _reduction_modulus(p):
+    """p, or where p = 2^k - 1 an int equal to p whose ``x % p`` first folds x to
+    (x & p) + (x >> k), equal mod p as 2^k = 1 (Solinas 1999; HMV 2.2), so that
+    the native ``%`` finishes on about k bits: exact for every int, negative too."""
+    k = p.bit_length()
+    if p != (1 << k) - 1:
+        return p
+
+    class _Mersenne(int):
+        def __rmod__(self, x, p=p, k=k):
+            return ((x & p) + (x >> k)) % p
+
+        def __reduce__(self):
+            return _reduction_modulus, (int(self),)
+
+    return _Mersenne(p)
 
 
 def neutral(curve: CurveSpec) -> PointLike:
@@ -135,19 +188,41 @@ def _lift_jacobian(point, curve):
     return _JACOBIAN_INFINITY if point is None else (point.x, point.y, 1)
 
 
-def _double_jacobian(P, curve):
-    # dbl-1998-cmo-2 for any a (Hankerson-Menezes-Vanstone, Guide to ECC, 3.2.2);
+def _doubled_jacobian(P, M, p):
+    # dbl-1998-cmo-2's last step from M, shared by the doublings below (HMV 3.2.2);
     # a point with Y = 0 has order 2 and doubles to Z3 = 0, the point at infinity
     X1, Y1, Z1 = P
-    p = curve.field
-    XX = X1 * X1 % p
     YY = Y1 * Y1 % p
-    ZZ = Z1 * Z1 % p
     S = 4 * X1 * YY % p
-    M = (3 * XX + curve.a * ZZ * ZZ) % p
     X3 = (M * M - 2 * S) % p
     Y3 = (M * (S - X3) - 8 * YY * YY) % p
     return (X3, Y3, 2 * Y1 * Z1 % p)
+
+
+def _double_jacobian(P, curve):
+    # any a: M = 3X^2 + aZ^4
+    X1, _, Z1 = P
+    p = curve._p
+    ZZ = Z1 * Z1 % p
+    return _doubled_jacobian(P, (3 * X1 * X1 + curve._a * ZZ * ZZ) % p, p)
+
+
+def _double_jacobian_minus3(P, curve):
+    # dbl-2001-b, a = -3: M = 3(X - Z^2)(X + Z^2)
+    X1, _, Z1 = P
+    p = curve._p
+    ZZ = Z1 * Z1 % p
+    return _doubled_jacobian(P, 3 * (X1 - ZZ) * (X1 + ZZ) % p, p)
+
+
+def _double_jacobian_a0(P, curve):
+    # a = 0: M = 3X^2
+    p = curve._p
+    return _doubled_jacobian(P, 3 * P[0] * P[0] % p, p)
+
+
+# the doubling each centred a picks; any other a takes the general one
+_JACOBIAN_DOUBLINGS = {-3: _double_jacobian_minus3, 0: _double_jacobian_a0}
 
 
 def _add_jacobian(P, Q, curve):
@@ -158,7 +233,7 @@ def _add_jacobian(P, Q, curve):
         return Q
     if Z2 == 0:
         return P
-    p = curve.field
+    p = curve._p
     Z1Z1 = Z1 * Z1 % p
     U2 = X2 * Z1Z1 % p
     S2 = Y2 * Z1 % p * Z1Z1 % p
@@ -176,14 +251,14 @@ def _add_jacobian(P, Q, curve):
 
 def _negate_jacobian(P, curve):
     X, Y, Z = P
-    return (X, -Y % curve.field, Z)
+    return (X, -Y % curve._p, Z)
 
 
 def _to_affine_jacobian(P, curve, zi=None):
     X, Y, Z = P
     if Z == 0:
         return None
-    p = curve.field
+    p = curve._p
     zi = zi or numeric.mod_inv(Z, p)
     zi2 = zi * zi % p
     return Point(X * zi2 % p, Y * zi2 % p * zi % p)
@@ -196,7 +271,7 @@ _EXTENDED_NEUTRAL = (0, 1, 1, 0)
 
 def _lift_extended(point, curve):
     x, y = point
-    return (x, y, 1, x * y % curve.field)
+    return (x, y, 1, x * y % curve._p)
 
 
 def _extended_result(E, F, G, H, curve):
@@ -206,7 +281,7 @@ def _extended_result(E, F, G, H, curve):
     scaled by a nonzero factor, so they vanish exactly where the affine law
     would divide by zero: on curves without a complete addition law.
     """
-    p = curve.field
+    p = curve._p
     F %= p
     G %= p
     if F == 0 or G == 0:
@@ -220,23 +295,23 @@ def _extended_result(E, F, G, H, curve):
 
 def _add_extended(P, Q, curve):
     # madd-2008-hwcd (Q normalised), unified: also right for P == Q and the neutral element
-    p = curve.field
+    p = curve._p
     X1, Y1, Z1, T1 = P
     X2, Y2, _, T2 = Q
     A = X1 * X2 % p
     B = Y1 * Y2 % p
-    C = curve.d * T1 % p * T2 % p
+    C = curve._d * T1 % p * T2 % p
     E = ((X1 + Y1) * (X2 + Y2) - A - B) % p
-    return _extended_result(E, Z1 - C, Z1 + C, B - curve.a * A, curve)
+    return _extended_result(E, Z1 - C, Z1 + C, B - curve._a * A, curve)
 
 
 def _double_extended(P, curve):
     # dbl-2008-hwcd; on a curve point its F and G vanish where the add formula's do for P + P
-    p = curve.field
+    p = curve._p
     X1, Y1, Z1, _ = P
     A = X1 * X1 % p
     B = Y1 * Y1 % p
-    D = curve.a * A % p
+    D = curve._a * A % p
     E = ((X1 + Y1) * (X1 + Y1) - A - B) % p
     G = D + B
     return _extended_result(E, G - 2 * Z1 * Z1, G, D - B, curve)
@@ -244,13 +319,13 @@ def _double_extended(P, curve):
 
 def _negate_extended(P, curve):
     X, Y, Z, T = P
-    p = curve.field
+    p = curve._p
     return (-X % p, Y, Z, -T % p)
 
 
 def _to_affine_extended(P, curve, zi=None):
     X, Y, Z, _ = P
-    p = curve.field
+    p = curve._p
     zi = zi or numeric.mod_inv(Z, p)
     return Point(X * zi % p, Y * zi % p)
 
@@ -338,14 +413,14 @@ def point_add(p1: PointLike, p2: PointLike, curve: CurveSpec) -> PointLike:
     """Group sum of two on-curve points."""
     _require_on_curve(p1, curve)
     _require_on_curve(p2, curve)
-    c = _COORDS[curve.form]
+    c = curve._law
     return c.to_affine(c.add(c.lift(p1, curve), c.lift(p2, curve), curve), curve)
 
 
 def negate(point: PointLike, curve: CurveSpec) -> PointLike:
     """The group inverse of an on-curve point."""
     _require_on_curve(point, curve)
-    c = _COORDS[curve.form]
+    c = curve._law
     return c.to_affine(c.negate(c.lift(point, curve), curve), curve)
 
 
@@ -408,7 +483,7 @@ def _normalized(points, c, curve):
     of them all, a Z of 0 counting as 1.  Koblitz points need only unhalving."""
     if curve.form == KOBLITZ:
         return [_unhalve(P, curve) for P in points]
-    p = curve.field
+    p = curve._p
     zs = [P[2] or 1 for P in points]
     before = list(accumulate(zs, lambda a, z: a * z % p, initial=1))
     after = list(accumulate(reversed(zs), lambda a, z: a * z % p, initial=1))[::-1]
@@ -424,7 +499,7 @@ def _comb_table(curve: CurveSpec) -> tuple:
     """(e, tables) of G's comb, teeth and entries normalised.  Tooth i is
     2^(i*e) * G or, where _halves holds, G halved (11 - i) * e times, 2^(i*e) times
     G halved 11e times, so that nothing doubles."""
-    c = _COORDS[curve.form]
+    c = curve._law
     step = _halve if _halves(curve) else c.double
     e, teeth = numeric.comb_teeth(c.lift(curve.g, curve), curve.n.bit_length(), step, curve)
     if step is _halve:
@@ -662,7 +737,7 @@ def scalar_mul(k: int, point: PointLike, curve: CurveSpec) -> PointLike:
     the NAF adds a correction by the point of order 2 that keeps it exact on
     every curve point; elsewhere both double, and the NAF is of k itself.
     """
-    c = _COORDS[curve.form]
+    c = curve._law
     return c.to_affine(_product([_term(k, point, curve, c)], c, curve), curve)
 
 
@@ -670,7 +745,7 @@ def mul_add(k1: int, p1: PointLike, k2: int, p2: PointLike, curve: CurveSpec) ->
     """k1 * p1 + k2 * p2, each scalar read as in ``scalar_mul``; both products share
     one chain of doublings, tau maps or halvings (interleaving; HMV 3.3.3), as
     long as the longer product alone, and the sum is converted to affine once."""
-    c = _COORDS[curve.form]
+    c = curve._law
     return c.to_affine(_product([_term(k1, p1, curve, c), _term(k2, p2, curve, c)], c, curve), curve)
 
 

@@ -10,6 +10,19 @@ TOY_W17 = CurveSpec("toy-w17", WEIERSTRASS, 17, 2, 2, Point(5, 1), 19, 1)
 # x^2 + y^2 = 1 + 7 x^2 y^2 over F_13; |E| = 20, G = (2, 9) has order 5
 TOY_ED13 = CurveSpec("toy-ed13", EDWARDS, 13, 1, 7, Point(2, 9), 5, 4)
 
+# Over the Mersenne primes 2^7 - 1 and 2^5 - 1, where the formulas' reductions
+# fold, and with the coefficients that pick the other two Weierstrass doublings.
+# y^2 = x^3 - 3x + 3 over F_127, a stored as p - 3; |E| = 122, with the point
+# (84, 0) of order 2, and G = (1, 1) has order 61
+TOY_W127 = CurveSpec("toy-w127", WEIERSTRASS, 127, 124, 3, Point(1, 1), 61, 2)
+
+# y^2 = x^3 + 5 over F_31; |E| = 39, G = (4, 10) has order 13
+TOY_W31A0 = CurveSpec("toy-w31a0", WEIERSTRASS, 31, 0, 5, Point(4, 10), 13, 3)
+
+# -3x^2 + y^2 = 1 - 8 x^2 y^2 over F_127, a and d stored as p - 3 and p - 8: -3 is
+# a square and -8 is not, so the law is complete; |E| = 124, G = (1, 84) has order 31
+TOY_ED127 = CurveSpec("toy-ed127", EDWARDS, 127, 124, 119, Point(1, 84), 31, 4)
+
 # y^2 + xy = x^3 + x^2 + 8 over GF(2^4)/(x^4+x+1); |E| = 20, G = (2, 12) order 5
 GF16 = BinaryField(4, 0b10011)
 TOY_K16 = CurveSpec("toy-k16", KOBLITZ, GF16, 1, 8, Point(2, 12), 5, 4)

@@ -10,7 +10,6 @@ where RSA/DSA rows carry "-" in the form and curve columns.  A curve's first row
 first times the lookup and G's table build: cold start stays out of medians and CSV.
 """
 
-import statistics
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -76,6 +75,8 @@ SUITES = {"default": DEFAULT_SUITE, "paper-small": PAPER_SMALL_SUITE}
 
 
 def _timed(fn, repeats):
+    import statistics  # only timing needs it, and every CLI process imports this module
+
     times = []
     result = None
     for _ in range(repeats):

@@ -427,8 +427,9 @@ def negate(point: PointLike, curve: CurveSpec) -> PointLike:
 # --- scalar multiplication ---------------------------------------------------
 
 # G's comb (numeric.comb_teeth, numeric.comb_tables): k mod n, exact as n * G is neutral
-# (tests prove it per registry curve), is read as 12 rows of e = ceil(bits(n) / 12) bits,
-# so a multiple of G costs e steps and <= 2e additions.
+# (tests prove it per registry curve), is read as numeric.COMB_ROWS rows of
+# e = ceil(bits(n) / COMB_ROWS) bits, so a multiple of G costs e steps and at most
+# COMB_TABLES * e additions: 16 and 32 on p256.
 # Variable-base width-w NAF (HMV Alg. 3.36): nonzero digits are odd, below
 # 2^(w-1) in size and at least w places apart, over 2^(w-2) odd multiples.
 WNAF_WIDTH = 4
@@ -497,8 +498,8 @@ def _normalized(points, c, curve):
 @lru_cache(maxsize=FIXED_BASE_TABLES)
 def _comb_table(curve: CurveSpec) -> tuple:
     """(e, tables) of G's comb, teeth and entries normalised.  Tooth i is
-    2^(i*e) * G or, where _halves holds, G halved (11 - i) * e times, 2^(i*e) times
-    G halved 11e times, so that nothing doubles."""
+    2^(i*e) * G or, where _halves holds, G halved (COMB_ROWS - 1 - i) * e times,
+    2^(i*e) times G halved (COMB_ROWS - 1) * e times, so that nothing doubles."""
     c = curve._law
     step = _halve if _halves(curve) else c.double
     e, teeth = numeric.comb_teeth(c.lift(curve.g, curve), curve.n.bit_length(), step, curve)
@@ -508,9 +509,9 @@ def _comb_table(curve: CurveSpec) -> tuple:
 
 
 def _comb_term(k, curve):
-    """k * G as a term of _product: the comb's two streams of e columns."""
+    """k * G as a term of _product: the comb's streams of e columns, one per table."""
     e, tables = _comb_table(curve)
-    if _halves(curve):  # tooth i is 2^(i*e) times G halved 11e times
+    if _halves(curve):  # tooth i is 2^(i*e) times G halved (COMB_ROWS - 1) * e times
         k <<= (numeric.COMB_ROWS - 1) * e
     return k % curve.n, lambda k: numeric.comb_streams(k, e, tables), e, None
 

@@ -153,7 +153,7 @@ class DsaParams:
 
     def power(self, *terms) -> int:
         """The product of base^k mod p over the (base, k) terms, each k below
-        2^(12e) with e = ceil(bits(q) / 12), by ``numeric.comb_pow``."""
+        2^(COMB_ROWS * e) with e = ceil(bits(q) / COMB_ROWS), by ``numeric.comb_pow``."""
         return comb_pow(self.p, self.q.bit_length(), *terms)
 
 

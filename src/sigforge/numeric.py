@@ -107,18 +107,23 @@ def mod_exp(base: int, exponent: int, modulus: int) -> int:
 #
 # A group is given by its step x -> 2x (a doubling on a curve, a squaring mod p),
 # its add, its neutral element and a description that both take as their last
-# argument; curves also steps by halving, where the teeth run the other way.
-# An exponent 0 <= k < 2^(12e) is read as 12 rows of e bits, row i weighing
-# tooth i = step^(i*e)(base); table v sums teeth v, v + 2, ..., v + 10, so the
-# product costs e steps, one digit per table each, and at most 2e adds.
-COMB_TEETH = 6
+# argument; curves also step by halving, where the teeth run the other way.
+# An exponent 0 <= k < 2^(COMB_ROWS * e) is read as COMB_ROWS rows of e bits,
+# row i weighing tooth i = step^(i*e)(base); table v sums the COMB_TEETH teeth
+# v, v + COMB_TABLES, ..., so the product costs e steps, one digit per table
+# each, and at most COMB_TABLES * e adds.  Two tables of eight teeth read 16
+# rows: a 256-bit exponent takes 16 steps and at most 32 adds, from 2 x 256
+# entries that cost 510 adds to build.  Seven teeth, or one table of eight or
+# nine, sped G's products up less; four tables double the memory again.
+COMB_TEETH = 8
 COMB_TABLES = 2
 COMB_ROWS = COMB_TABLES * COMB_TEETH
 
 
 def comb_teeth(base, bits: int, step, group):
-    """(e, teeth) for exponents of up to ``bits`` bits: e = ceil(bits / 12) and
-    the 12 teeth base, step^e(base), step^(2e)(base), ..., one chain of 11e steps."""
+    """(e, teeth) for exponents of up to ``bits`` bits: e = ceil(bits / COMB_ROWS)
+    and the COMB_ROWS teeth base, step^e(base), step^(2e)(base), ..., one chain
+    of (COMB_ROWS - 1) * e steps."""
     e = -(-bits // COMB_ROWS)
     teeth = [base]
     for _ in range(COMB_ROWS - 1):
@@ -129,10 +134,11 @@ def comb_teeth(base, bits: int, step, group):
 
 
 def comb_tables(teeth, add, neutral, group, normalize=list):
-    """The comb's two tables of 64 entries: entry a of table v is the sum of
-    teeth 2j + v over the bits j of a.  ``normalize`` maps a list of elements to
-    equal ones in the form that ``add`` takes as its second operand; it is
-    applied to the teeth before the 126 additions and to the entries after them."""
+    """The comb's COMB_TABLES tables of 2^COMB_TEETH entries: entry a of table v
+    is the sum of teeth COMB_TABLES * j + v over the bits j of a.  ``normalize``
+    maps a list of elements to equal ones in the form that ``add`` takes as its
+    second operand; it is applied to the teeth before the
+    COMB_TABLES * (2^COMB_TEETH - 1) additions (510) and to the entries after them."""
     teeth, entries = normalize(teeth), []
     for v in range(COMB_TABLES):
         own, table = teeth[v::COMB_TABLES], [neutral]
@@ -144,9 +150,10 @@ def comb_tables(teeth, add, neutral, group, normalize=list):
 
 
 def comb_streams(k: int, e: int, tables) -> list:
-    """The comb's two (digits, table) streams of e columns for 0 <= k < 2^(12e),
-    least significant first: column i of table v holds bits i + (2j + v)*e of k,
-    high j first.  Any other k raises ValueError, since it has no such reading."""
+    """The comb's (digits, table) streams, one per table, of e columns for
+    0 <= k < 2^(COMB_ROWS * e), least significant first: column i of table v
+    holds bits i + (COMB_TABLES * j + v) * e of k, high j first.  Any other k
+    raises ValueError, since it has no such reading."""
     if not 0 <= k < 1 << (COMB_ROWS * e):
         raise ValueError(f"comb exponent outside [0, 2^{COMB_ROWS * e})")
     bits, span = format(k, f"0{COMB_ROWS * e}b"), COMB_TABLES * e
@@ -168,8 +175,9 @@ def horner(streams, step, add, neutral, group):
     return acc
 
 
-# comb tables kept for comb_pow: a DSA key that signs and verifies reads two, g's and y's
-POWER_TABLES = 16
+# comb tables kept for comb_pow: a DSA key that signs and verifies reads two,
+# g's and y's, so eight keep four keys' worth
+POWER_TABLES = 8
 
 
 def _mul_mod(a, b, modulus):
@@ -182,19 +190,21 @@ def _square_mod(a, modulus):
 
 @functools.lru_cache(maxsize=POWER_TABLES)
 def _power_tables(base: int, modulus: int, bits: int) -> tuple:
-    """(e, tables) of base's comb mod modulus.  Each holds 128 residues, 262 KB at
-    the widest modulus the hash rule names, 15,360 bits (128 x 2 KB), so the
-    POWER_TABLES kept take at most 4.2 MB; building one there takes 0.35 s for
-    512-bit exponents, about one pow of that size (2-vCPU VM, CPython 3.11.7)."""
+    """(e, tables) of base's comb mod modulus.  Each holds COMB_TABLES << COMB_TEETH
+    residues (512), 1.06 MB at the widest modulus the hash rule names, 15,360
+    bits (512 x 2 KB), so the POWER_TABLES kept take at most 8.5 MB; building one
+    there takes 0.5 s for 512-bit exponents and 0.3 s for 160-bit ones (2-vCPU VM,
+    CPython 3.11.7)."""
     e, teeth = comb_teeth(base, bits, _square_mod, modulus)
     return e, comb_tables(teeth, _mul_mod, 1, modulus)
 
 
 def comb_pow(modulus: int, bits: int, *terms) -> int:
     """The product of base^k mod modulus over the (base, k) terms, for
-    0 <= k < 2^(12e), e = ceil(bits / 12): each base's comb tables, cached per
-    (base, modulus, bits), read on one chain of e squarings.  Equal to pow for
-    any base; no exponent is reduced, since nothing here knows a base's order."""
+    0 <= k < 2^(COMB_ROWS * e), e = ceil(bits / COMB_ROWS): each base's comb
+    tables, cached per (base, modulus, bits), read on one chain of e squarings.
+    Equal to pow for any base; no exponent is reduced, since nothing here knows
+    a base's order."""
     streams = []
     for base, k in terms:
         e, tables = _power_tables(base, modulus, bits)

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +210,14 @@ class TestBenchCommand:
 
     def test_unknown_suite_is_usage_error(self, tiny_suite):
         assert cli_main(["bench", "--suite", "huge"]) == EXIT_USAGE
+
+    def test_cli_import_leaves_statistics_to_bench(self):
+        # keygen, sign and verify processes import the CLI but never time anything
+        src = str(Path(cli_module.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, sigforge.cli; assert 'statistics' not in sys.modules"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
 
 
 class TestHelp:

@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigforge import Cryptosystem, curves
+from sigforge import Cryptosystem, curves, numeric
 from sigforge.binary_field import BinaryField
 from sigforge.curves import (
     EDWARDS,
@@ -210,6 +210,14 @@ class TestNegate:
         assert negate(Point(2, 9), TOY_ED13) == Point(11, 9)
 
 
+def _comb_doublings(name):
+    """(name, table doublings, product doublings) of G's comb on a registry curve
+    that doubles: the teeth lie e = ceil(bits(n) / COMB_ROWS) steps apart on one
+    chain, and a product takes e steps (p256: 240 and 16)."""
+    e = -(-get_curve(name).n.bit_length() // numeric.COMB_ROWS)
+    return name, (numeric.COMB_ROWS - 1) * e, e
+
+
 class TestScalarMul:
     @pytest.mark.parametrize("curve", TOYS, ids=lambda c: c.name)
     def test_matches_repeated_addition(self, curve):
@@ -255,19 +263,13 @@ class TestScalarMul:
 
     @pytest.mark.parametrize(
         "name, table_doublings, product_doublings",
-        (
-            ("p256", 11 * 22, 22),
-            ("p521", 11 * 44, 44),
-            ("ed448", 11 * 38, 38),
-            ("sect113r1", 0, 0),
-            ("b233", 0, 0),
-            ("toy-k32h2", 0, 0),
-        ),
+        [_comb_doublings(name) for name in ("p256", "p521", "ed448")]
+        + [("sect113r1", 0, 0), ("b233", 0, 0), ("toy-k32h2", 0, 0)],
     )
     def test_g_product_takes_one_step_per_column(
         self, name, table_doublings, product_doublings, monkeypatch
     ):
-        # two comb tables of six teeth read e = ceil(bits(n) / 12) columns, one
+        # the comb's tables read e = ceil(bits(n) / COMB_ROWS) columns, one
         # step each, and the teeth lie e steps apart; where halving is the
         # step, the teeth are built by halving G, so nothing doubles at all
         curve = _toy_or_registry_curve(name)
@@ -291,34 +293,45 @@ class TestScalarMul:
         + [("p256", True), ("ed448", True), ("sect113r1", True)],
     )
     def test_comb_tables_against_affine_oracle(self, name, sampled):
-        # entry a of table v is the sum of the teeth 2j + v over the bits j of
-        # a, where tooth i is 2^(i*e) * G, or G halved (11 - i) * e times where
-        # halving is the step; outside GF(2^m) each entry has Z = 1 from one
-        # shared inversion, except the point at infinity, which keeps Z = 0
+        # entry a of table v is the sum of the teeth COMB_TABLES * j + v over
+        # the bits j of a, where tooth i is 2^(i*e) * G, or G halved
+        # (COMB_ROWS - 1 - i) * e times where halving is the step; outside
+        # GF(2^m) each entry has Z = 1 from one shared inversion, except the
+        # point at infinity, which keeps Z = 0
         curve = _toy_or_registry_curve(name)
         c = curve._law
         add, e0 = _registry_oracle(curve)
         e, tables = curves._comb_table(curve)
-        assert len(tables) == 2 and all(len(table) == 64 for table in tables)
-        halved = pow(pow(2, -1, curve.n), 11 * e, curve.n) if curves._halves(curve) else 1
+        size, rows = 1 << numeric.COMB_TEETH, numeric.COMB_ROWS
+        assert len(tables) == numeric.COMB_TABLES and all(len(table) == size for table in tables)
+        halved = pow(pow(2, -1, curve.n), (rows - 1) * e, curve.n) if curves._halves(curve) else 1
         teeth = [
-            double_and_add((halved << (i * e)) % curve.n, tuple(curve.g), add, e0) for i in range(12)
+            double_and_add((halved << (i * e)) % curve.n, tuple(curve.g), add, e0) for i in range(rows)
         ]
-        entries = random.Random(name).sample(range(64), 5) if sampled else range(64)
-        neutral_entries = 0
+        entries = random.Random(name).sample(range(size), 5) if sampled else range(size)
         for v, table in enumerate(tables):
             for a in entries:
                 want = e0
-                for j in range(6):
+                for j in range(numeric.COMB_TEETH):
                     if a >> j & 1:
-                        want = add(want, teeth[2 * j + v])
+                        want = add(want, teeth[numeric.COMB_TABLES * j + v])
                 assert _as_tuple(c.to_affine(table[a], curve)) == want, (v, a)
-                neutral_entries += want == e0
                 if curve.form != KOBLITZ:
                     assert table[a][2] == (0 if want is None else 1), (v, a)
-        if not sampled:
-            # beyond entry 0 of each table, some sums of teeth cancel
-            assert neutral_entries > 2
+
+    def test_some_toy_comb_entry_cancels_in_every_form(self):
+        # a comb entry past entry 0 whose teeth sum to the neutral element
+        # takes the table additions through their doubling and infinity
+        # cases; for each form some toy's tables hold one, so the oracle test
+        # above, which reads every toy entry, covers those cases
+        cancelling = set()
+        for curve in TOYS:
+            if not curves._is_anomalous(curve):
+                c = curve._law
+                _, tables = curves._comb_table(curve)
+                if any(is_neutral(c.to_affine(P, curve), curve) for table in tables for P in table[1:]):
+                    cancelling.add(curve.form)
+        assert cancelling == set(curves.FORMS)
 
     @pytest.mark.parametrize("name", ("p256", "ed25519", "k163", "b233", "toy-k32h2"))
     def test_mul_add_takes_one_chain(self, name, monkeypatch):

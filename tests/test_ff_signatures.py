@@ -356,9 +356,9 @@ class TestDsaComb:
     def test_comb_equals_pow_on_the_workload_keys(self, ff_dsa_keys, bits):
         key = ff_dsa_keys[bits]
         p, q, g = key.params.p, key.params.q, key.params.g
-        e = -(-q.bit_length() // 12)
+        width = numeric.COMB_ROWS * -(-q.bit_length() // numeric.COMB_ROWS)
         rng = RngHandle(bits + 1)
-        exponents = [0, 1, q - 1, (1 << 12 * e) - 1] + [rng.getrandbits(12 * e) for _ in range(8)]
+        exponents = [0, 1, q - 1, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(8)]
         for base in (g, key.y, rand_below(p, rng)):
             for k in exponents:
                 assert numeric.comb_pow(p, q.bit_length(), (base, k)) == pow(base, k, p), (base, k)
@@ -381,7 +381,7 @@ class TestDsaComb:
         # g^u1 and y^u2 read their comb columns on one chain of e squarings,
         # where two exponentiations each took about bits(q) of them
         key = ff_dsa_keys[bits]
-        e = -(-key.params.q.bit_length() // 12)
+        e = -(-key.params.q.bit_length() // numeric.COMB_ROWS)
         sig = dsa_sign(key, b"m", RngHandle(3))
         assert dsa_verify(key, b"m", sig)  # both tables built
         squarings = []

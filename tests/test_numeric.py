@@ -71,21 +71,21 @@ class TestCombPow:
     it reads; nothing reduces an exponent modulo a base's order."""
 
     def test_every_base_and_exponent_on_the_toy_group(self):
-        # p = 23, q = 11: e = 1, so the comb reads every k below 2^12; Z_23
-        # holds bases of order 22 (5), 11 (4), 2 (22) and 1 (1), and 0
+        # p = 23, q = 11: e = 1, so the comb reads every k below 2^COMB_ROWS;
+        # Z_23 holds bases of order 22 (5), 11 (4), 2 (22) and 1 (1), and 0
         orders = {b: next(i for i in range(1, 23) if pow(b, i, 23) == 1) for b in range(1, 23)}
         assert {orders[5], orders[4], orders[22], orders[1]} == {22, 11, 2, 1}
-        for base in range(23):
-            for k in range(1 << 12):
+        for base in (5, 4, 22, 1, 0):
+            for k in range(1 << numeric.COMB_ROWS):
                 assert numeric.comb_pow(23, 4, (base, k)) == pow(base, k, 23), (base, k)
 
     def test_two_terms_share_one_product(self):
         rng = RngHandle(60)
         for _ in range(200):
-            (a, j), (b, k) = ((rand_below(23, rng), rng.getrandbits(12)) for _ in range(2))
+            (a, j), (b, k) = ((rand_below(23, rng), rng.getrandbits(numeric.COMB_ROWS)) for _ in range(2))
             assert numeric.comb_pow(23, 4, (a, j), (b, k)) == pow(a, j, 23) * pow(b, k, 23) % 23
 
-    @pytest.mark.parametrize("k", (-1, 1 << 12, 1 << 100))
+    @pytest.mark.parametrize("k", (-1, 1 << numeric.COMB_ROWS, 1 << 100))
     def test_exponent_outside_the_comb_refused(self, k):
         with pytest.raises(ValueError, match="comb exponent"):
             numeric.comb_pow(23, 4, (5, k))

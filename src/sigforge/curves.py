@@ -19,25 +19,25 @@ result is converted back to affine once, so it does not depend on coordinates.
 The prime-field formulas read a and d centred, as -3 rather than p - 3, the
 Weierstrass doubling is the one a picks (dbl-2001-b for a = -3, M = 3X^2 for
 a = 0), and where p = 2^k - 1 every ``% p`` folds 2^k to 1 before the native
-remainder: each chosen once per curve, from its parameters (``CurveSpec._law``).
+remainder.  ``CurveSpec._law`` chooses each of these once per curve, from its
+parameters, and with them every product's step, streams and terms.
 
-Scalar multiplication is one Horner loop over streams of scalars' digits, each
-with a table chosen from the curve's parameters, and mul_add's two products
-share its chain; that loop and G's comb are numeric's, which DSA's g and y read
-too.  On the anomalous binary curves -- koblitz form with b = 1 and
-a in {0, 1}: k163 and k233 in the registry -- the Frobenius map
-tau(x, y) = (x^2, y^2) replaces doubling in a width-w tau-adic NAF (Solinas
-2000), and the scalar is reduced modulo tau^m - 1, which fixes every point of
+Scalar multiplication is one Horner loop over streams of scalars' digits, and
+mul_add's two products share its chain; that loop and G's comb are numeric's,
+which DSA's g and y read too.  On the anomalous binary curves -- koblitz form
+with b = 1 and a in {0, 1}: k163 and k233 in the registry -- the step is the
+Frobenius map tau(x, y) = (x^2, y^2) in a width-w tau-adic NAF (Solinas 2000),
+and the scalar is reduced modulo tau^m - 1, which fixes every point of
 E(GF(2^m)): exact for any scalar and curve point, whatever n and h are.
 Elsewhere G's comb, two tables and so two streams, reads k mod n, exact as the
-tests prove n*G neutral on registry curves; other points take a width-w NAF.  On
-the cofactor-2 binary curves -- koblitz form, h = 2, odd n and m, not anomalous:
-sect113r1, b163 and b233 in the registry -- the step, and the comb teeth's, is
-point halving (Knudsen 1999; HMV Alg. 3.81), no inversion, over the digits of
-k * 2^(t-1) mod n.  That is exact only on the order-n subgroup 2E, where
-Tr(x) = Tr(a) and G lies; any other point is P' + T with T = (0, sqrt(b)) of
-order 2 and P' in 2E, and k*P = k*P' + (k mod 2)*T.  Everywhere else the step
-is doubling, and the NAF is of k itself.
+tests prove n*G neutral on registry curves; other points take a width-w NAF.
+On the cofactor-2 binary curves -- koblitz form, h = 2, odd n and m, not
+anomalous: sect113r1, b163 and b233 in the registry -- the step, and the comb
+teeth's, is point halving (Knudsen 1999; HMV Alg. 3.81), no inversion, over the
+digits of k * 2^(t-1) mod n.  That is exact only on the order-n subgroup 2E,
+where Tr(x) = Tr(a) and G lies; any other point is P' + T with T = (0, sqrt(b))
+of order 2 and P' in 2E, and k*P = k*P' + (k mod 2)*T.  Everywhere else the
+step is the form's doubling, and the NAF is of k itself.
 """
 
 from dataclasses import dataclass
@@ -73,11 +73,11 @@ class CurveSpec:
     The curve operations trust these values: the tests prove every registry
     curve with ``validate_curve``, and any other must pass it before use.
 
-    On a prime field the group law reads constants derived from these fields
-    once per curve and cached on it, not compared, hashed or shown: ``_p``,
-    the modulus its formulas reduce by (``_reduction_modulus``); ``_a`` and
+    The group law reads constants derived from these fields once per curve and
+    cached on it, not compared, hashed or shown: on a prime field ``_p``, the
+    modulus its formulas reduce by (``_reduction_modulus``), and ``_a`` and
     ``_d``, the coefficients centred, so that a = p - 3 is read as -3; and
-    ``_law``, the form's coordinates with the doubling chosen by that a.
+    ``_law``, the form's law with every choice a product makes (see ``_COORDS``).
     """
 
     name: str
@@ -116,6 +116,15 @@ class CurveSpec:
         law = SimpleNamespace(**vars(_COORDS[self.form]))
         if self.form == WEIERSTRASS:
             law.double = _JACOBIAN_DOUBLINGS.get(self._a, _double_jacobian)
+        law.step, law.streams, law.g_term, law.term = law.double, _padded_streams, _comb_term, _naf_term
+        law.tooth_order, law.comb_shift = slice(None), 0
+        if self.form == KOBLITZ and self.b == 1 and self.a in (0, 1):  # anomalous: tau acts
+            law.mu = 2 * self.a - 1  # (-1)^(1-a)
+            law.frobenius_modulus = _frobenius_modulus(self.field.m, law.mu)
+            law.step, law.g_term, law.term = _frobenius, _tnaf_g_term, _tnaf_term
+        elif self.form == KOBLITZ and self.h == 2 and self.n % 2 == 1 and self.field.m % 2 == 1:
+            law.step, law.streams, law.term = _halve, _halved_streams, _halved_naf_term
+            law.tooth_order, law.comb_shift = slice(None, None, -1), numeric.COMB_ROWS - 1
         return law
 
 
@@ -381,6 +390,12 @@ def _negate_koblitz(P, curve):
 #   add(P, Q, curve)     P + Q, for any P and a Q with Z = 1 (Z = 0 at infinity)
 #   negate(P, curve)     -P
 #   to_affine(P, curve[, 1/Z])  internal point -> affine Point, or None at infinity
+# CurveSpec._law copies it and adds what every product reads, chosen once:
+#   step(P, curve)       the chain's step: double, or _halve, or _frobenius (tau)
+#   streams(terms, curve)  the terms' digits as horner's: _padded_streams or _halved_streams
+#   g_term, term(k, P, curve, law)  k * P as a term of _product, for P = G and other P
+#   tooth_order, comb_shift  slice ordering G's teeth by weight; tooth 0 is G halved shift*e times
+#   mu, frobenius_modulus  on the anomalous curves: tau's trace and tau^m - 1
 _COORDS = {
     WEIERSTRASS: SimpleNamespace(
         neutral=_JACOBIAN_INFINITY,
@@ -452,30 +467,21 @@ def _signed_table(odd, c, curve):
 
 
 def _product(terms, c, curve):
-    """The sum of k * P over terms (k, read, t, T) on one chain: read(k) gives the
-    (digits, table) streams, digit i naming the multiple of P that weighs 2^i, or
-    tau^i on the anomalous curves, shorter streams padded with zeros.  Where
-    _halves holds, P lies in 2E, and halving between the t digits of
-    k * 2^(t-1) mod n, t the longest term's, read from the least significant,
-    weighs digit i 2^(i-t+1): k mod n times P, and T, of order 2, adds for odd k."""
-    if _halves(curve):
-        t = max(term[2] for term in terms)
-        streams = [
-            ([0] * (t - len(digits)) + digits[::-1], table)
-            for k, read, _, _ in terms
-            for digits, table in read((k << (t - 1)) % curve.n)
-        ]
-        step = _halve
-    else:
-        streams = [stream for k, read, _, _ in terms for stream in read(k)]
-        t = max(len(digits) for digits, _ in streams)
-        streams = [(digits + [0] * (t - len(digits)), table) for digits, table in streams]
-        step = _frobenius if _is_anomalous(curve) else c.double
-    acc = numeric.horner(streams, step, c.add, c.neutral, curve)
+    """The sum of k * P over terms (k, read, t, T) on one chain of the law's step:
+    read gives the (digits, table) streams, digit i naming a multiple of P, which
+    the law's streams line up; T, of order 2 where the step halves, adds for odd k."""
+    acc = numeric.horner(c.streams(terms, curve), c.step, c.add, c.neutral, curve)
     for k, _, _, T in terms:
         if T and k & 1:
             acc = c.add(acc, T, curve)
     return acc
+
+
+def _padded_streams(terms, curve):
+    """The streams of read(k), digit i weighing 2^i (tau^i where tau steps), padded with zeros."""
+    streams = [stream for k, read, _, _ in terms for stream in read(k)]
+    t = max(len(digits) for digits, _ in streams)
+    return [(digits + [0] * (t - len(digits)), table) for digits, table in streams]
 
 
 def _normalized(points, c, curve):
@@ -497,23 +503,20 @@ def _normalized(points, c, curve):
 
 @lru_cache(maxsize=FIXED_BASE_TABLES)
 def _comb_table(curve: CurveSpec) -> tuple:
-    """(e, tables) of G's comb, teeth and entries normalised.  Tooth i is
-    2^(i*e) * G or, where _halves holds, G halved (COMB_ROWS - 1 - i) * e times,
-    2^(i*e) times G halved (COMB_ROWS - 1) * e times, so that nothing doubles."""
+    """(e, tables) of G's comb, teeth and entries normalised: the teeth lie e of the
+    law's steps apart on one chain from G, in weight order, so tooth i is 2^(i*e) * G
+    or, where the step halves, G halved (COMB_ROWS - 1 - i) * e times."""
     c = curve._law
-    step = _halve if _halves(curve) else c.double
-    e, teeth = numeric.comb_teeth(c.lift(curve.g, curve), curve.n.bit_length(), step, curve)
-    if step is _halve:
-        teeth.reverse()
-    return e, numeric.comb_tables(teeth, c.add, c.neutral, curve, partial(_normalized, c=c, curve=curve))
+    e, teeth = numeric.comb_teeth(c.lift(curve.g, curve), curve.n.bit_length(), c.step, curve)
+    normalized = partial(_normalized, c=c, curve=curve)
+    return e, numeric.comb_tables(teeth[c.tooth_order], c.add, c.neutral, curve, normalized)
 
 
-def _comb_term(k, curve):
-    """k * G as a term of _product: the comb's streams of e columns, one per table."""
+def _comb_term(k, point, curve, c):
+    """k * G as a term of _product: the comb's streams of e columns, one per table, of
+    k * 2^(comb_shift * e) mod n, as tooth 0 is G halved comb_shift * e times."""
     e, tables = _comb_table(curve)
-    if _halves(curve):  # tooth i is 2^(i*e) times G halved (COMB_ROWS - 1) * e times
-        k <<= (numeric.COMB_ROWS - 1) * e
-    return k % curve.n, lambda k: numeric.comb_streams(k, e, tables), e, None
+    return (k << c.comb_shift * e) % curve.n, lambda k: numeric.comb_streams(k, e, tables), e, None
 
 
 def _wnaf(k):
@@ -542,15 +545,8 @@ def _wnaf_table(P, c, curve):
     return _signed_table(_normalized(odd, c, curve), c, curve)
 
 
-def _naf_term(k, point, curve, c):
-    """k * point as a term: a width-w NAF of k or, where _halves holds, of
-    k * 2^(t-1) mod n, exact on 2E only: a point P outside it, Tr(x) != Tr(a), is
-    P' + T with T = (0, sqrt(b)) of order 2, P' = P + T in 2E, and k*P = k*P' + (k mod 2)*T."""
-    f = curve.field
-    T = None
-    if _halves(curve) and point is not None and f.trace(point.x) != f.trace(curve.a):
-        T = Point(0, f.sqrt(curve.b))
-        point = c.add(point, T, curve)
+def _naf_term(k, point, curve, c, T=None):
+    """k * point as a term: a width-w NAF of k, or of k * 2^(t-1) mod n where the step halves."""
     table = _wnaf_table(c.lift(point, curve), c, curve)
     return k, lambda k: [(_wnaf(k), table)], curve.n.bit_length() + 1, T
 
@@ -563,18 +559,6 @@ def _naf_term(k, point, curve, c):
 # half-trace, a multiply, a trace and a square root, and no inversion.  The
 # halves are kept in lambda-representation (x, lambda = x + y/x), from which
 # y = x(x + lambda) costs one multiply, paid only before an addition.
-
-
-def _halves(curve):
-    """Whether halving replaces doubling: koblitz form, h = 2, odd n and m, and
-    not anomalous; in the registry sect113r1, b163 and b233."""
-    return (
-        curve.form == KOBLITZ
-        and curve.h == 2
-        and curve.n % 2 == 1
-        and curve.field.m % 2 == 1
-        and not _is_anomalous(curve)
-    )
 
 
 def _halve(P, curve):
@@ -598,17 +582,35 @@ def _halve(P, curve):
     return _Halved(f.sqrt(t ^ x), lam)
 
 
+def _halved_streams(terms, curve):
+    """The streams of read(k * 2^(t-1) mod n), t the longest term's, reversed and
+    padded in front: P lies in 2E, and halving between the t digits, read from the
+    least significant, weighs digit i 2^(i-t+1), which makes k mod n times P."""
+    t = max(term[2] for term in terms)
+    return [
+        ([0] * (t - len(digits)) + digits[::-1], table)
+        for k, read, _, _ in terms
+        for digits, table in read((k << (t - 1)) % curve.n)
+    ]
+
+
+def _halved_naf_term(k, point, curve, c):
+    """_naf_term where the step halves, exact on 2E only: a point P outside it,
+    Tr(x) != Tr(a), is P' + T with T = (0, sqrt(b)) of order 2, P' = P + T in 2E,
+    and k*P = k*P' + (k mod 2)*T."""
+    f, T = curve.field, None
+    if point is not None and f.trace(point.x) != f.trace(curve.a):
+        T = Point(0, f.sqrt(curve.b))
+        point = c.add(point, T, curve)
+    return _naf_term(k, point, curve, c, T)
+
+
 # --- anomalous binary curves: tau-adic NAF (Solinas 2000; HMV 3.4) ----------
 #
 # On y^2 + xy = x^3 + ax^2 + 1 over GF(2^m) with a in {0, 1}, the Frobenius
 # map tau(x, y) = (x^2, y^2) is a group endomorphism with tau^2 - mu*tau + 2 = 0,
 # mu = (-1)^(1-a).  An element r0 + r1*tau of Z[tau], held as the pair (r0, r1),
 # acts on points as r0*P + r1*tau(P), and multiplying by tau costs two squarings.
-
-
-def _is_anomalous(curve):
-    """Whether tau acts on the curve: koblitz form, b = 1 and a in {0, 1}."""
-    return curve.form == KOBLITZ and curve.b == 1 and curve.a in (0, 1)
 
 
 def _tau_power(j, mu):
@@ -632,7 +634,6 @@ def _tau_reduce(k, d0, d1, mu):
     return k - q0 * d0 + 2 * q1 * d1, -q0 * d1 - q1 * d0 - mu * q1 * d1
 
 
-@lru_cache(maxsize=None)
 def _frobenius_modulus(m, mu):
     """tau^m - 1 as (d0, d1).  tau^m fixes every point of E(GF(2^m)), so a scalar
     reduced modulo it gives the same product on every curve point.  Its norm is
@@ -700,29 +701,28 @@ def _tnaf_table_of_g(curve, mu):
     return _tnaf_table(curve.g, curve, TNAF_FIXED_WIDTH, mu)
 
 
-def _tnaf_term(k, point, curve):
-    """k * point as a term of _product on an anomalous binary curve: the width-w
-    tau-adic NAF of k reduced modulo tau^m - 1; no halving, so no chain length."""
-    mu = 1 if curve.a == 1 else -1
-    r = _tau_reduce(k, *_frobenius_modulus(curve.field.m, mu), mu)
-    if point == curve.g:
-        w, table = TNAF_FIXED_WIDTH, _tnaf_table_of_g(curve, mu)
-    else:
-        w, table = TNAF_WIDTH, _tnaf_table(point, curve, TNAF_WIDTH, mu)
-    return r, lambda r: [(_tnaf(*r, w, mu), table)], None, None
+def _tnaf_term(k, point, curve, c):
+    """k * point as a term of _product where tau steps: the width-w tau-adic NAF of
+    k reduced modulo tau^m - 1, over a table built per call; no chain length."""
+    return _tnaf_reading(k, c, TNAF_WIDTH, _tnaf_table(point, curve, TNAF_WIDTH, c.mu))
+
+
+def _tnaf_g_term(k, point, curve, c):
+    """k * G as _tnaf_term, wider, over G's table cached per curve."""
+    return _tnaf_reading(k, c, TNAF_FIXED_WIDTH, _tnaf_table_of_g(curve, c.mu))
+
+
+def _tnaf_reading(k, c, w, table):
+    r = _tau_reduce(k, *c.frobenius_modulus, c.mu)
+    return r, lambda r: [(_tnaf(*r, w, c.mu), table)], None, None
 
 
 def _term(k, point, curve, c):
-    """k * point as a term of _product: the tau-adic NAF on the anomalous binary
-    curves, elsewhere the comb for G and the NAF otherwise."""
+    """k * point as a term of _product: the law's term for G, or for any other point."""
     if k < 0:
         raise ValueError("scalar must be non-negative")
     _require_on_curve(point, curve)
-    if _is_anomalous(curve):
-        return _tnaf_term(k, point, curve)
-    if point == curve.g:
-        return _comb_term(k, curve)
-    return _naf_term(k, point, curve, c)
+    return (c.g_term if point == curve.g else c.term)(k, point, curve, c)
 
 
 def scalar_mul(k: int, point: PointLike, curve: CurveSpec) -> PointLike:

@@ -96,10 +96,67 @@ SMALL_TOYS = tuple(c for c in TOYS if c.field_size < 100)
 ANOMALOUS_TOYS = (TOY_K32A0, TOY_K32A1)
 HALVING_CURVES = ("sect113r1", "b163", "b233")
 
+# the step, G's term and any other point's term of each path a law can take;
+# a step of None is the form's doubling
+PATHS = {
+    "double": (None, "_comb_term", "_naf_term"),
+    "tau": ("_frobenius", "_tnaf_g_term", "_tnaf_term"),
+    "halve": ("_halve", "_comb_term", "_halved_naf_term"),
+}
+# What each curve's law holds: (name, a and d centred, doubling, whether % p
+# folds, path), a, d and the fold on prime fields only.  Every registry curve
+# and toy has a row, so the rows say which curves take tau: only k163, k233
+# and the anomalous toys; and which halve: only sect113r1, b163, b233 and
+# toy-k32h2.  toy-k16 does neither: it has b = 8, and h = 4.
+CURVE_LAWS = (
+    ("p256", -3, None, "_double_jacobian_minus3", False, "double"),
+    ("p384", -3, None, "_double_jacobian_minus3", False, "double"),
+    ("p521", -3, None, "_double_jacobian_minus3", True, "double"),
+    ("secp192k1", 0, None, "_double_jacobian_a0", False, "double"),
+    ("secp256k1", 0, None, "_double_jacobian_a0", False, "double"),
+    ("toy-w17", 2, None, "_double_jacobian", False, "double"),
+    ("toy-w127", -3, None, "_double_jacobian_minus3", True, "double"),
+    ("toy-w31a0", 0, None, "_double_jacobian_a0", True, "double"),
+    ("ed25519", -1, None, "_double_extended", False, "double"),
+    ("ed448", 1, -39081, "_double_extended", False, "double"),
+    ("e521", 1, -376014, "_double_extended", True, "double"),
+    ("numsp384t1", -1, 333194, "_double_extended", False, "double"),
+    ("toy-ed13", 1, -6, "_double_extended", False, "double"),
+    ("toy-ed127", -3, -8, "_double_extended", True, "double"),
+    ("k163", None, None, "_double_koblitz", None, "tau"),
+    ("k233", None, None, "_double_koblitz", None, "tau"),
+    ("toy-k32a0", None, None, "_double_koblitz", None, "tau"),
+    ("toy-k32a1", None, None, "_double_koblitz", None, "tau"),
+    ("sect113r1", None, None, "_double_koblitz", None, "halve"),
+    ("b163", None, None, "_double_koblitz", None, "halve"),
+    ("b233", None, None, "_double_koblitz", None, "halve"),
+    ("toy-k32h2", None, None, "_double_koblitz", None, "halve"),
+    ("toy-k16", None, None, "_double_koblitz", None, "double"),
+)
+PATH_OF = {row[0]: row[-1] for row in CURVE_LAWS}
+
 
 def _mu(curve):
     """The trace of the Frobenius map tau on an anomalous binary curve: (-1)^(1-a)."""
     return 1 if curve.a == 1 else -1
+
+
+def _tau_acts(curve):
+    return curve._law.step is curves._frobenius
+
+
+def _halves(curve):
+    return curve._law.step is curves._halve
+
+
+def _counted(calls, fn):
+    """fn, which appends itself to calls each time it runs."""
+
+    def counted(*args):
+        calls.append(fn)
+        return fn(*args)
+
+    return counted
 
 
 def _toy_or_registry_curve(name):
@@ -274,22 +331,19 @@ class TestScalarMul:
         # step, the teeth are built by halving G, so nothing doubles at all
         curve = _toy_or_registry_curve(name)
         c = curve._law
-        doublings = []
-
-        def counted_double(P, curve, double=c.double):
-            doublings.append(P)
-            return double(P, curve)
-
-        monkeypatch.setattr(c, "double", counted_double)
+        calls, double = [], c.double
+        monkeypatch.setattr(c, "step", _counted(calls, c.step))
+        monkeypatch.setattr(c, "double", _counted(calls, c.double))
         curves._comb_table.cache_clear()
-        curves._comb_table(curve)
-        assert len(doublings) == table_doublings
-        doublings.clear()
+        e, _ = curves._comb_table(curve)
+        assert len(calls) == (numeric.COMB_ROWS - 1) * e
+        assert calls.count(double) == table_doublings
+        calls.clear()
         assert is_on_curve(scalar_mul(curve.n - 2, curve.g, curve), curve)
-        assert len(doublings) == product_doublings
+        assert len(calls) == e and calls.count(double) == product_doublings
 
     @pytest.mark.parametrize(
-        "name, sampled", [(c.name, False) for c in TOYS if not curves._is_anomalous(c)]
+        "name, sampled", [(c.name, False) for c in TOYS if not _tau_acts(c)]
         + [("p256", True), ("ed448", True), ("sect113r1", True)],
     )
     def test_comb_tables_against_affine_oracle(self, name, sampled):
@@ -304,7 +358,7 @@ class TestScalarMul:
         e, tables = curves._comb_table(curve)
         size, rows = 1 << numeric.COMB_TEETH, numeric.COMB_ROWS
         assert len(tables) == numeric.COMB_TABLES and all(len(table) == size for table in tables)
-        halved = pow(pow(2, -1, curve.n), (rows - 1) * e, curve.n) if curves._halves(curve) else 1
+        halved = pow(pow(2, -1, curve.n), (rows - 1) * e, curve.n) if _halves(curve) else 1
         teeth = [
             double_and_add((halved << (i * e)) % curve.n, tuple(curve.g), add, e0) for i in range(rows)
         ]
@@ -326,7 +380,7 @@ class TestScalarMul:
         # above, which reads every toy entry, covers those cases
         cancelling = set()
         for curve in TOYS:
-            if not curves._is_anomalous(curve):
+            if not _tau_acts(curve):
                 c = curve._law
                 _, tables = curves._comb_table(curve)
                 if any(is_neutral(c.to_affine(P, curve), curve) for table in tables for P in table[1:]):
@@ -340,17 +394,7 @@ class TestScalarMul:
         # longer of its two products alone, where two chains took their sum
         curve = _toy_or_registry_curve(name)
         c = curve._law
-        if curves._is_anomalous(curve):
-            owner, attribute = curves, "_frobenius"
-        elif curves._halves(curve):
-            owner, attribute = curves, "_halve"
-        else:
-            owner, attribute = c, "double"
         steps, in_tables = [], []
-
-        def counted_step(P, curve, step=getattr(owner, attribute)):
-            steps.append(P)
-            return step(P, curve)
 
         def counted_build(*args, build):
             before = len(steps)
@@ -366,7 +410,7 @@ class TestScalarMul:
 
         Q = scalar_mul(3, curve.g, curve)
         scalar_mul(1, curve.g, curve)  # G's tables are built and cached
-        monkeypatch.setattr(owner, attribute, counted_step)
+        monkeypatch.setattr(c, "step", _counted(steps, c.step))
         for builder in ("_wnaf_table", "_tnaf_table"):
             build = functools.partial(counted_build, build=getattr(curves, builder))
             monkeypatch.setattr(curves, builder, build)
@@ -536,13 +580,8 @@ class TestScalarMulAgainstAffineOracle:
 
 class TestTauAdicNaf:
     """The Frobenius path of the anomalous binary curves (koblitz form, b = 1,
-    a in {0, 1}): its selection, its constants, and exhaustive toy checks."""
-
-    def test_selected_by_curve_parameters(self):
-        selected = [name for name in curve_names() if curves._is_anomalous(get_curve(name))]
-        assert sorted(selected) == ["k163", "k233"]
-        assert not curves._is_anomalous(TOY_K16)  # koblitz form, but b = 8
-        assert all(curves._is_anomalous(curve) for curve in ANOMALOUS_TOYS)
+    a in {0, 1}): its constants and exhaustive toy checks; CURVE_LAWS pins
+    which curves take it."""
 
     @pytest.mark.parametrize(
         "name", ("k163", "b163", "toy-k32a1", "toy-k16", "sect113r1", "b233", "toy-k32h2", "p256")
@@ -551,31 +590,25 @@ class TestTauAdicNaf:
         # the tau-adic NAF replaces both the comb and the NAF, and runs nowhere
         # else; on the cofactor-2 binary curves halving replaces doubling in
         # every product, so a product of G doubles nothing and one of any other
-        # point doubles once, for its table's 2P
+        # point doubles once, for its table's 2P.  The law holds its step and
+        # terms, so they are counted on the law, as products run them
         curve = _toy_or_registry_curve(name)
         c = curve._law
-        doublings = []
-
-        def unused(*args):
-            raise AssertionError("a second scalar multiplication path ran")
-
-        def counted_double(P, curve, double=c.double):
-            doublings.append(P)
-            return double(P, curve)
-
-        if curves._is_anomalous(curve):
-            monkeypatch.setattr(curves, "_comb_term", unused)
-            monkeypatch.setattr(curves, "_naf_term", unused)
-        else:
-            monkeypatch.setattr(curves, "_tnaf_term", unused)
-        for P in (curve.g, point_add(curve.g, curve.g, curve)):
-            assert is_on_curve(scalar_mul(curve.n + 3, P, curve), curve)
-        monkeypatch.setattr(c, "double", counted_double)
+        step, g_term, term = PATHS[PATH_OF[name]]
+        step = step or c.double.__name__
+        calls = {entry: [] for entry in ("step", "double", "g_term", "term")}
+        for entry, counted in calls.items():
+            monkeypatch.setattr(c, entry, _counted(counted, getattr(c, entry)))
         for P, table_doublings in ((curve.g, 0), (point_add(curve.g, curve.g, curve), 1)):
-            doublings.clear()
-            scalar_mul(curve.n + 3, P, curve)
-            if curves._halves(curve):
-                assert len(doublings) == table_doublings, P
+            three_p = point_add(point_add(P, P, curve), P, curve)
+            for counted in calls.values():
+                counted.clear()
+            assert scalar_mul(curve.n + 3, P, curve) == three_p, P
+            ran = [fn.__name__ for fn in calls["g_term"] + calls["term"]]
+            assert ran == [g_term if P == curve.g else term], P
+            assert {fn.__name__ for fn in calls["step"]} == {step}, P
+            if step == "_halve":
+                assert len(calls["double"]) == table_doublings, P
 
     @staticmethod
     def zt_mul(x, y, mu):
@@ -614,8 +647,9 @@ class TestTauAdicNaf:
     def test_frobenius_modulus_norm_is_the_group_order(self, name):
         # derived from m and mu alone, it must still have norm |E| = h * n
         curve = _toy_or_registry_curve(name)
-        mu = _mu(curve)
-        d0, d1 = curves._frobenius_modulus(curve.field.m, mu)
+        mu, law = _mu(curve), curve._law
+        d0, d1 = law.frobenius_modulus
+        assert law.mu == mu
         assert d0 * d0 + mu * d0 * d1 + 2 * d1 * d1 == curve.h * curve.n
 
     @pytest.mark.parametrize("name", ("k163", "k233", "toy-k32a0", "toy-k32a1"))
@@ -652,14 +686,8 @@ class TestTauAdicNaf:
 
 class TestPointHalving:
     """Halve-and-add on the cofactor-2 binary curves (koblitz form, h = 2, odd
-    n and m, not anomalous): its selection and an exhaustive toy check."""
-
-    def test_selected_by_curve_parameters(self):
-        selected = [name for name in curve_names() if curves._halves(get_curve(name))]
-        assert sorted(selected) == sorted(HALVING_CURVES)
-        assert curves._halves(TOY_K32H2)
-        assert not curves._halves(TOY_K16)  # h = 4
-        assert not any(curves._halves(curve) for curve in ANOMALOUS_TOYS)
+    n and m, not anomalous): an exhaustive toy check; CURVE_LAWS pins which
+    curves take it."""
 
     def test_every_point_and_scalar_against_double_and_add(self):
         # the n points of 2E and the n outside it, among them (0, sqrt(b)),
@@ -688,7 +716,8 @@ FOLD = settings(max_examples=300, deadline=None, derandomize=True, database=None
 class TestPrimeFieldConstants:
     """What a prime curve's group law reads, derived once per curve: the modulus
     its formulas reduce by, which folds where p = 2^k - 1, a and d centred, and
-    the Weierstrass doubling that the centred a picks."""
+    the Weierstrass doubling that the centred a picks; and on every curve the
+    step and terms its law picks for products."""
 
     @pytest.mark.parametrize("p", MERSENNE_PRIMES)
     def test_fold_at_the_edges(self, p):
@@ -753,30 +782,27 @@ class TestPrimeFieldConstants:
         )
         assert [hashlib.sha256(t.encode()).hexdigest() for t in texts] == [private, public, signature]
 
-    @pytest.mark.parametrize(
-        "name, a, d, doubling, folds",
-        (
-            ("p256", -3, None, "_double_jacobian_minus3", False),
-            ("p384", -3, None, "_double_jacobian_minus3", False),
-            ("p521", -3, None, "_double_jacobian_minus3", True),
-            ("secp256k1", 0, None, "_double_jacobian_a0", False),
-            ("toy-w17", 2, None, "_double_jacobian", False),
-            ("toy-w127", -3, None, "_double_jacobian_minus3", True),
-            ("toy-w31a0", 0, None, "_double_jacobian_a0", True),
-            ("ed25519", -1, None, "_double_extended", False),
-            ("ed448", 1, -39081, "_double_extended", False),
-            ("e521", 1, -376014, "_double_extended", True),
-            ("toy-ed127", -3, -8, "_double_extended", True),
-        ),
-    )
-    def test_each_curve_reads_its_own_constants(self, name, a, d, doubling, folds):
+    @pytest.mark.parametrize("name, a, d, doubling, folds, path", CURVE_LAWS)
+    def test_each_curve_reads_its_own_constants(self, name, a, d, doubling, folds, path):
+        assert set(PATH_OF) == set(curve_names()) | {c.name for c in TOYS}
         curve = _toy_or_registry_curve(name)
-        assert curve._a == a and curve._law.double.__name__ == doubling
-        assert (type(curve._p) is not int) == folds and curve._p == curve.field
+        law = curve._law
+        step, g_term, term = PATHS[path]
+        assert law.double.__name__ == doubling
+        assert law.step is (law.double if step is None else getattr(curves, step))
+        assert law.g_term is getattr(curves, g_term) and law.term is getattr(curves, term)
+        # where the step halves, G's comb teeth are the chain reversed, tooth 0
+        # being G halved (COMB_ROWS - 1) * e times
+        halves = step == "_halve"
+        assert law.tooth_order == (slice(None, None, -1) if halves else slice(None))
+        assert law.comb_shift == (numeric.COMB_ROWS - 1 if halves else 0)
+        if folds is not None:
+            assert curve._a == a
+            assert (type(curve._p) is not int) == folds and curve._p == curve.field
         if d is not None:
             assert curve._d == d
         # the form's other operations are shared, and its table is left as it was
-        assert curve._law.add is curves._COORDS[curve.form].add
+        assert law.add is curves._COORDS[curve.form].add
         assert curves._COORDS[WEIERSTRASS].double is curves._double_jacobian
 
 

@@ -78,6 +78,18 @@ def signed():
     return out
 
 
+@pytest.fixture(scope="module")
+def drawn(signed):
+    """{algorithm: [(key, a valid signature of MESSAGE)]}: the pair of ``signed``
+    and, for ECDSA and EdDSA, one on a binary curve, so that hostile parts reach
+    its products too: k163's take the tau-adic NAF, b163's halve."""
+    out = {algorithm: [pair] for algorithm, pair in signed.items()}
+    for i, (algorithm, curve) in enumerate((("ecdsa", "k163"), ("eddsa", "b163"))):
+        key = generate_key(algorithm, RngHandle(6400 + i), curve=curve)
+        out[algorithm].append((key, sign_message(algorithm, key, MESSAGE, RngHandle(6500 + i))))
+    return out
+
+
 def assert_bool_in_bounded_time(algorithm, key, sig):
     start = time.monotonic()
     result = verify_message(algorithm, key, MESSAGE, sig)
@@ -103,10 +115,10 @@ def test_dsa(signed, r, s, keep):
 
 @HOSTILE
 @given(r=PARTS, s=PARTS, keep=st.sampled_from(("r", "s", None)))
-def test_ecdsa(signed, r, s, keep):
-    key, good = signed["ecdsa"]
-    sig = DsaSignature(good.r if keep == "r" else r, good.s if keep == "s" else s)
-    assert_bool_in_bounded_time("ecdsa", key, sig)
+def test_ecdsa(drawn, r, s, keep):
+    for key, good in drawn["ecdsa"]:
+        sig = DsaSignature(good.r if keep == "r" else r, good.s if keep == "s" else s)
+        assert_bool_in_bounded_time("ecdsa", key, sig)
 
 
 @HOSTILE
@@ -117,11 +129,11 @@ def test_ecdsa(signed, r, s, keep):
     keep=st.sampled_from(("R", "s", None)),
     as_point=st.booleans(),
 )
-def test_eddsa(signed, rx, ry, s, keep, as_point):
-    key, good = signed["eddsa"]
-    big_r = good.R if keep == "R" else (Point(rx, ry) if as_point else (rx, ry))
-    sig = EddsaSignature(big_r, good.s if keep == "s" else s)
-    assert_bool_in_bounded_time("eddsa", key, sig)
+def test_eddsa(drawn, rx, ry, s, keep, as_point):
+    for key, good in drawn["eddsa"]:
+        big_r = good.R if keep == "R" else (Point(rx, ry) if as_point else (rx, ry))
+        sig = EddsaSignature(big_r, good.s if keep == "s" else s)
+        assert_bool_in_bounded_time("eddsa", key, sig)
 
 
 @pytest.mark.parametrize(
@@ -148,8 +160,9 @@ def test_non_int_parts_are_invalid(signed, algorithm, make):
 @pytest.mark.parametrize("algorithm", tuple(KEYS))
 @HOSTILE
 @given(sig=WHOLE)
-def test_whole_signature(signed, algorithm, sig):
-    assert_bool_in_bounded_time(algorithm, signed[algorithm][0], sig)
+def test_whole_signature(drawn, algorithm, sig):
+    for key, _ in drawn[algorithm]:
+        assert_bool_in_bounded_time(algorithm, key, sig)
 
 
 @pytest.mark.parametrize("algorithm", tuple(KEYS))

@@ -11,8 +11,7 @@ first times the lookup and G's table build: cold start stays out of medians and 
 """
 
 import time
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .curves import scalar_mul
 from .numeric import RngHandle
@@ -22,15 +21,13 @@ from .schemes import get_scheme
 BENCH_MESSAGE = bytes(range(256)) * 4  # fixed 1 KiB message
 
 
-@dataclass(frozen=True)
-class BenchConfig:
+class BenchConfig(NamedTuple):
     algorithm: str
     bits: Optional[int] = None  # rsa/dsa modulus size
     curve: Optional[str] = None  # ecdsa/eddsa curve name
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     algorithm: str
     form: str
     curve: str

@@ -25,8 +25,8 @@ The arithmetic leans on the interpreter's integer and bytes primitives:
   under a fixed mask.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import NotInvertibleError
 
@@ -124,26 +124,27 @@ def is_irreducible(poly: int) -> bool:
     return t == x
 
 
-@dataclass(frozen=True)
-class BinaryField:
-    """GF(2^m) with the given reduction polynomial (degree m, constant term 1)."""
+class BinaryField(NamedTuple("BinaryField", [("m", int), ("poly", int)])):
+    """GF(2^m) with the given reduction polynomial (degree m, constant term 1).
 
-    m: int
-    poly: int
-    # exponents of the terms of poly below x^m, and 2^m - 1; set from poly
-    _taps: tuple = field(init=False, repr=False, compare=False)
-    _mask: int = field(init=False, repr=False, compare=False)
+    A named tuple of (m, poly), which alone are compared, hashed and shown.  What
+    the field derives from them it keeps beside the tuple, in its ``__dict__``:
+    the taps and mask its reduction reads, and the square-root and half-trace tables.
+    """
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(cls, m, poly):
+        if m < 1:
             raise ValueError("extension degree must be >= 1")
-        if self.poly.bit_length() != self.m + 1 or not self.poly & 1:
-            raise ValueError(
-                f"reduction polynomial must have degree {self.m} and constant term 1"
-            )
-        taps = tuple(i for i in range(self.m) if (self.poly >> i) & 1)
-        object.__setattr__(self, "_taps", taps)
-        object.__setattr__(self, "_mask", (1 << self.m) - 1)
+        if poly.bit_length() != m + 1 or not poly & 1:
+            raise ValueError(f"reduction polynomial must have degree {m} and constant term 1")
+        f = super().__new__(cls, m, poly)
+        # exponents of the terms of poly below x^m, and 2^m - 1
+        f._taps = tuple(i for i in range(m) if (poly >> i) & 1)
+        f._mask = (1 << m) - 1
+        return f
+
+    # _replace calls _make, which here builds through __new__: a replaced field is checked and its taps derived
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def size(self) -> int:

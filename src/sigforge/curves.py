@@ -40,7 +40,6 @@ of order 2 and P' in 2E, and k*P = k*P' + (k mod 2)*T.  Everywhere else the
 step is the form's doubling, and the NAF is of k itself.
 """
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate
 from types import SimpleNamespace
@@ -64,8 +63,8 @@ class Point(NamedTuple):
 PointLike = Optional[Point]
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(NamedTuple("CurveSpec", [("name", str), ("form", str), ("field", Union[int, BinaryField]), ("a", int),
+                                         ("b", int), ("g", Point), ("n", int), ("h", int)])):
     """A named curve: form, field, coefficients, base point, order, cofactor.
 
     ``b`` holds the second curve coefficient; for Edwards curves it is the
@@ -73,21 +72,14 @@ class CurveSpec:
     The curve operations trust these values: the tests prove every registry
     curve with ``validate_curve``, and any other must pass it before use.
 
-    The group law reads constants derived from these fields once per curve and
-    cached on it, not compared, hashed or shown: on a prime field ``_p``, the
-    modulus its formulas reduce by (``_reduction_modulus``), and ``_a`` and
-    ``_d``, the coefficients centred, so that a = p - 3 is read as -3; and
-    ``_law``, the form's law with every choice a product makes (see ``_COORDS``).
+    A named tuple of these eight fields, which alone are compared, hashed and
+    shown.  The group law reads constants derived from them once per curve and
+    cached beside the tuple, in the instance's ``__dict__``: on a prime field
+    ``_p``, the modulus its formulas reduce by (``_reduction_modulus``), and
+    ``_a`` and ``_d``, the coefficients centred, so that a = p - 3 is read as
+    -3; and ``_law``, the form's law with every choice a product makes (see
+    ``_COORDS``).
     """
-
-    name: str
-    form: str
-    field: Union[int, BinaryField]
-    a: int
-    b: int
-    g: Point
-    n: int
-    h: int
 
     @property
     def d(self) -> int:

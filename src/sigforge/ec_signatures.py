@@ -12,7 +12,6 @@ the hashed message, and leaves s = r + h*k_a unreduced.  It is deterministic:
 signing the same message twice yields byte-identical signatures.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .curves import (
@@ -30,8 +29,7 @@ from .hashing import digest, digest_to_int, select_hash_for_order, sign_hash
 from .numeric import RngHandle, is_int_pair, rand_below
 
 
-@dataclass(frozen=True)
-class EcKey:
+class EcKey(NamedTuple):
     curve: CurveSpec  # a registry curve, or one that passed validate_curve
     q: Point  # public point
     ka: Optional[int] = None  # private scalar

@@ -20,7 +20,6 @@ and then, like ``sign``, hashes the message with the selected algorithm.
 """
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .errors import MissingPrivateKeyError, NotInvertibleError, SignatureCheckError
@@ -89,32 +88,29 @@ def rsa_factor_modulus(n: int, e: int, d: int):
     raise ValueError("n does not split into two factors from e and d")
 
 
-@dataclass(frozen=True)
-class RsaKey:
+class RsaKey(NamedTuple("RsaKey", [("n", int), ("e", int), ("d", Optional[int])])):
     """An RSA key; ``d`` is None on a public key.
 
-    A private key also holds the primes of n and its CRT values.  Key
-    generation passes p and q in; otherwise they are found from (n, e, d)
-    when the key is built, which raises ValueError if that fails.  They are
-    derived from n, e and d, so they take no part in comparisons.
+    A named tuple of (n, e, d), which alone are compared, hashed and shown.
+    A private key also holds, beside the tuple, the primes p and q of n and
+    its CRT values dp = d mod (p - 1), dq = d mod (q - 1) and q_inv = q^-1
+    mod p; on a public key all five are None.  Key generation passes p and q
+    in; otherwise they are found from (n, e, d) when the key is built, which
+    raises ValueError if that fails.
     """
 
-    n: int
-    e: int
-    d: Optional[int] = None
-    p: Optional[int] = field(default=None, compare=False, repr=False)
-    q: Optional[int] = field(default=None, compare=False, repr=False)
-    dp: Optional[int] = field(default=None, init=False, compare=False, repr=False)
-    dq: Optional[int] = field(default=None, init=False, compare=False, repr=False)
-    q_inv: Optional[int] = field(default=None, init=False, compare=False, repr=False)  # q^-1 mod p
+    p = q = dp = dq = q_inv = None
 
-    def __post_init__(self):
-        if self.d is None:
-            return
-        p, q = (self.p, self.q) if self.p is not None else rsa_factor_modulus(self.n, self.e, self.d)
-        crt = dict(p=p, q=q, dp=self.d % (p - 1), dq=self.d % (q - 1), q_inv=mod_inv(q, p))
-        for name, value in crt.items():
-            object.__setattr__(self, name, value)
+    def __new__(cls, n, e, d=None, p=None, q=None):
+        key = super().__new__(cls, n, e, d)
+        if d is not None:
+            if p is None:
+                p, q = rsa_factor_modulus(n, e, d)
+            key.__dict__.update(p=p, q=q, dp=d % (p - 1), dq=d % (q - 1), q_inv=mod_inv(q, p))
+        return key
+
+    # _replace calls _make, which here builds through __new__: a replaced key derives its CRT values again
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def key_size(self) -> int:
@@ -145,8 +141,7 @@ def rsa_public_problem(n, e) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class DsaParams:
+class DsaParams(NamedTuple):
     p: int
     q: int
     g: int
@@ -157,8 +152,7 @@ class DsaParams:
         return comb_pow(self.p, self.q.bit_length(), *terms)
 
 
-@dataclass(frozen=True)
-class DsaKey:
+class DsaKey(NamedTuple):
     params: DsaParams
     y: int
     x: Optional[int] = None

@@ -1,17 +1,17 @@
 """The signature schemes as one table.
 
-``SCHEMES`` maps each algorithm name to a ``Scheme`` record holding what the
-other layers need to know about it: key generation, signing and verification,
-and the field layout of its key and signature files.  It is the only list of
-algorithms in the package; each key derives its own ``key_size`` and ``hash_name``.
+``SCHEMES`` maps each algorithm name to a ``Scheme``, a named tuple of what
+the other layers need to know about it: key generation, signing and
+verification, and the field layout of its key and signature files.  It is the
+only list of algorithms in the package.  Each key, a named tuple of its
+compared fields, derives its own ``key_size`` and ``hash_name``.
 
 The records reach the scheme functions through this module's globals at call
 time (hence the small lambdas), so a wrapper bound over a module attribute,
 such as a profiler's, also sees the calls made through the table.
 """
 
-from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 from .curves import Point, is_neutral, scalar_mul
 from .ec_signatures import (
@@ -47,8 +47,7 @@ from .registry import get_curve
 DEFAULT_BITS = 2048
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(NamedTuple):
     """What the other layers need of one algorithm; its hash is the key's ``hash_name``."""
 
     keygen: Callable  # (rng, bits, curve name) -> key; None picks the default

@@ -212,12 +212,19 @@ class TestBenchCommand:
         assert cli_main(["bench", "--suite", "huge"]) == EXIT_USAGE
 
     def test_cli_import_leaves_statistics_to_bench(self):
-        # keygen, sign and verify processes import the CLI but never time anything
+        # keygen, sign and verify processes import the CLI but never time anything;
+        # and no fresh process, the CLI's or a bare library user's, pays for
+        # dataclasses, which pulls in inspect, ast, dis and tokenize
         src = str(Path(cli_module.__file__).parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
-        code = "import sys, sigforge.cli; assert 'statistics' not in sys.modules"
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert run.returncode == 0, run.stderr
+        for module in ("sigforge", "sigforge.cli"):
+            code = (
+                f"import sys, {module}; "
+                "loaded = {'statistics', 'dataclasses', 'inspect'} & set(sys.modules); "
+                "assert not loaded, sorted(loaded)"
+            )
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            assert run.returncode == 0, (module, run.stderr)
 
 
 class TestHelp:

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import pickle
@@ -749,7 +748,7 @@ class TestPrimeFieldConstants:
         curve = get_curve(name)
         m = curve._p
         assert type(m) is not int and type(curve.field) is int
-        folded = dataclasses.replace(curve, field=m)
+        folded = curve._replace(field=m)
         assert folded == curve and hash(folded) == hash(curve) and repr(folded) == repr(curve)
         assert f"field={(1 << 521) - 1}," in repr(curve)
         assert pickle.loads(pickle.dumps(curve)) == curve
@@ -844,33 +843,31 @@ class TestValidateCurve:
         while not is_probable_prime(other):
             other -= 2
         with pytest.raises(ValueError, match=r"n \* G is not the neutral element"):
-            validate_curve(dataclasses.replace(curve, n=other))
+            validate_curve(curve._replace(n=other))
 
     @pytest.mark.parametrize("coefficient", ("a", "b"))
     def test_koblitz_coefficients_must_be_field_elements(self, coefficient):
         # GF(2^m) arithmetic trusts its operands, so the curve's own constants
         # are checked here, once; setting bit m puts the value past the field
-        broken = dataclasses.replace(
-            TOY_K16, **{coefficient: getattr(TOY_K16, coefficient) | GF16.size}
-        )
+        broken = TOY_K16._replace(**{coefficient: getattr(TOY_K16, coefficient) | GF16.size})
         with pytest.raises(ValueError, match="must be field elements"):
             validate_curve(broken)
 
     @pytest.mark.parametrize(
         "broken,reason",
         (
-            (dataclasses.replace(TOY_W17, form="hessian"), "unknown form 'hessian'"),
-            (dataclasses.replace(TOY_W17, h=0), "cofactor must be >= 1"),
-            (dataclasses.replace(TOY_W17, form=KOBLITZ), "koblitz form requires a BinaryField"),
+            (TOY_W17._replace(form="hessian"), "unknown form 'hessian'"),
+            (TOY_W17._replace(h=0), "cofactor must be >= 1"),
+            (TOY_W17._replace(form=KOBLITZ), "koblitz form requires a BinaryField"),
             # x^4 + x^2 + 1 = (x^2 + x + 1)^2
             (
-                dataclasses.replace(TOY_K16, field=BinaryField(4, 0b10101)),
+                TOY_K16._replace(field=BinaryField(4, 0b10101)),
                 "reduction polynomial is not irreducible",
             ),
-            (dataclasses.replace(TOY_K16, b=0), "singular curve (b = 0)"),
-            (dataclasses.replace(TOY_W17, field=15), "field modulus is not an odd prime"),
-            (dataclasses.replace(TOY_W17, a=0, b=0), "singular curve (zero discriminant)"),
-            (dataclasses.replace(TOY_ED13, a=TOY_ED13.d), "degenerate edwards parameters"),
+            (TOY_K16._replace(b=0), "singular curve (b = 0)"),
+            (TOY_W17._replace(field=15), "field modulus is not an odd prime"),
+            (TOY_W17._replace(a=0, b=0), "singular curve (zero discriminant)"),
+            (TOY_ED13._replace(a=TOY_ED13.d), "degenerate edwards parameters"),
         ),
         ids=lambda value: value if isinstance(value, str) else value.name,
     )
@@ -888,7 +885,7 @@ class TestValidateCurve:
         assert len(outside) == curve.n
         for P in outside:
             with pytest.raises(ValueError, match="neutral element"):
-                validate_curve(dataclasses.replace(curve, g=Point(*P)))
+                validate_curve(curve._replace(g=Point(*P)))
 
     def test_hasse_violation_rejected(self):
         # n = 19 with cofactor 3 puts h*n far outside the interval around 18

@@ -238,8 +238,7 @@ REFUSED_KEYS = {
 
 
 def _dsa(key, y=None, **params):
-    fields = {**vars(key.params), **params}
-    return DsaKey(DsaParams(**fields), y=key.y if y is None else y)
+    return DsaKey(key.params._replace(**params), y=key.y if y is None else y)
 
 
 @pytest.mark.parametrize("case", tuple(REFUSED_KEYS))

@@ -5,8 +5,6 @@ that signing and verification pass to ``digest_to_int``; all three must hold
 before and after a render/parse round trip of the key file.
 """
 
-import dataclasses
-
 import pytest
 
 from sigforge import bench, ec_signatures, ff_signatures
@@ -52,7 +50,7 @@ def digest_algs(monkeypatch):
 
 def bench_reports(monkeypatch, algorithm, key):
     """(key_size, hash) of the bench record for a run whose keygen yields ``key``."""
-    scheme = dataclasses.replace(get_scheme(algorithm), keygen=lambda rng, bits, curve: key)
+    scheme = get_scheme(algorithm)._replace(keygen=lambda rng, bits, curve: key)
     monkeypatch.setattr(bench, "get_scheme", lambda name: scheme)
     record = bench_one(BenchConfig(algorithm), 1, RngHandle(0))
     return record.key_size, record.hash_name
